@@ -82,6 +82,7 @@ from .model import (
     Violation,
     compose,
     load_multicat,
+    parse_multicat,
     multicat_from_document,
     multicat_to_document,
     serialize_multicat,

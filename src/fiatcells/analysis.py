@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import permutations as _perms
 
 from .cells import CellPartition, cells, classify_two_sided
-from .model import MorphId, MultiCat, build_multicat, validate
+from .model import MorphId, MultiCat, ValidationReport, build_multicat, validate
 
 __all__ = [
     "NotStronglyRegularError",
@@ -361,7 +361,9 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
     Compose entries lose exactly the summands strictly above the class
     (those die in the attached quotient); the discards are returned as
     ``(g, f, summand, mult)`` label tuples.  The result passes validate
-    and keeps the class as a single two-sided cell; both are asserted.
+    and keeps the class as a single two-sided cell; a table where either
+    fails, or where a discarded summand is not strictly above the class,
+    raises (PurityError for the latter, ValueError otherwise).
     """
     two_sided = cells(cat, "two-sided")
     if not 0 <= q < len(two_sided.classes):
@@ -388,11 +390,13 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
         for k, c in sorted(out.items()):
             if k in kept:
                 new_out[cat.morphs[k].label] = c
-            else:
-                assert not two_sided.leq_class(two_sided.class_of[k], q), (
-                    f"discarded summand {cat.morphs[k].label} is not strictly "
+            elif two_sided.leq_class(two_sided.class_of[k], q):
+                raise PurityError(
+                    f"discarded summand {cat.morphs[k].label} of "
+                    f"{cat.morphs[g].label}∘{cat.morphs[f].label} is not strictly "
                     "above the cell"
                 )
+            else:
                 discards.append(
                     (cat.morphs[g].label, cat.morphs[f].label, cat.morphs[k].label, c)
                 )
@@ -403,18 +407,25 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
         [o.label for o in cat.objects], morph_specs, star, table
     )
     report = validate(restricted)
-    assert report.ok, f"restriction broke the axioms: {report}"
+    if not report.ok:
+        raise ValueError(f"restriction broke the axioms: {report}")
     new_two_sided = cells(restricted, "two-sided")
     image = {restricted.morph(cat.morphs[i].label).index for i in members}
     image_classes = {new_two_sided.class_of[i] for i in image}
-    assert len(image_classes) == 1 and new_two_sided.classes[next(iter(image_classes))] == frozenset(image), (
-        "the class did not survive restriction as a single two-sided cell"
-    )
+    if not (
+        len(image_classes) == 1
+        and new_two_sided.classes[next(iter(image_classes))] == frozenset(image)
+    ):
+        raise ValueError("the class did not survive restriction as a single two-sided cell")
     return restricted, discards
 
 
 # ---------------------------------------------------------------------------
 # the lint battery
+
+
+# validity witnesses listed before the total is summarised
+_VALIDITY_WITNESSES = 20
 
 
 def fiat_lint(cat: MultiCat) -> LintReport:
@@ -425,16 +436,20 @@ def fiat_lint(cat: MultiCat) -> LintReport:
     table.  Checks whose hypotheses never fire come back
     not-applicable.
     """
+    return _fiat_lint(cat, validate(cat))
+
+
+def _fiat_lint(cat: MultiCat, vreport: ValidationReport) -> LintReport:
+    """The lint battery of ``cat``, given its validation report."""
     report = LintReport()
-    vreport = validate(cat)
     if not vreport.ok:
-        report.checks.append(
-            CheckResult(
-                "validity",
-                "fail",
-                tuple(str(v) for v in vreport.violations[:20]),
+        witnesses = [str(v) for v in vreport.violations[:_VALIDITY_WITNESSES]]
+        if len(vreport.violations) > _VALIDITY_WITNESSES:
+            witnesses.append(
+                f"… {len(vreport.violations)} violations in total "
+                f"(showing {_VALIDITY_WITNESSES})"
             )
-        )
+        report.checks.append(CheckResult("validity", "fail", tuple(witnesses)))
         for name in LINT_CHECKS[1:]:
             report.checks.append(CheckResult(name, "not-applicable"))
         return report

@@ -44,7 +44,7 @@ from .model import (
     MultiCat,
     NotComposableError,
     TableFormatError,
-    load_multicat,
+    parse_multicat,
     serialize_multicat,
     validate,
 )
@@ -80,7 +80,7 @@ def _read_text(path: str) -> str:
 
 def _load_table(path: str) -> tuple[MultiCat, str]:
     text = _read_text(path)
-    return load_multicat(text), text
+    return parse_multicat(text), text
 
 
 def _envelope(args, text: str | None) -> dict:

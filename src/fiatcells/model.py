@@ -44,6 +44,7 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "load_multicat",
+    "parse_multicat",
     "multicat_from_document",
     "multicat_to_document",
     "serialize_multicat",
@@ -51,8 +52,9 @@ __all__ = [
     "validate",
 ]
 
-# morph sets beyond this size skip the dense numpy associativity check
-_DENSE_VALIDATE_LIMIT = 48
+# joined entry pairs per associativity kernel block: keeps its
+# temporaries at a few MB whatever the size of the table
+_PAIR_BUDGET = 1 << 13
 
 
 class TableFormatError(ValueError):
@@ -138,6 +140,7 @@ class MultiCat:
         for m in morphs:
             if m.is_identity:
                 self._identity_of[m.src.index] = m
+        self._compiled: _Compiled | None = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -175,6 +178,12 @@ class MultiCat:
 
     def compose(self, g: MorphId, f: MorphId) -> dict[MorphId, int]:
         return {self.morphs[k]: c for k, c in self.compose_idx(g.index, f.index).items()}
+
+    def _compiled_form(self) -> _Compiled:
+        """The index-array form the associativity kernel reads, built once."""
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
 
     # -- equality (structural, label-sensitive) ---------------------------
 
@@ -225,31 +234,51 @@ def build_multicat(
     return multicat_from_document(doc)
 
 
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", bool: "boolean",
+    int: "integer", float: "number", type(None): "null",
+}
+
+
+def _expect(value, kind: type, where: str):
+    """``value`` itself if it has the JSON type ``kind``; else a format error at ``where``."""
+    if not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise TableFormatError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {got}")
+    return value
+
+
 def multicat_from_document(doc: dict) -> MultiCat:
     """Resolve an interchange document into a MultiCat.
 
-    Axioms are NOT checked here (see :func:`validate`); only referential
-    integrity: every label must resolve, each object carries exactly one
-    identity, and multiplicities must be positive integers.
+    Axioms are NOT checked here (see :func:`validate`); only the JSON
+    types of the fields and referential integrity: every label must
+    resolve, each object carries exactly one identity, and
+    multiplicities must be positive integers.  Each failure is a
+    :class:`TableFormatError` naming the field path.
     """
-    if not isinstance(doc, dict):
-        raise TableFormatError("document root must be a JSON object")
+    _expect(doc, dict, "document root")
     for key in ("objects", "morphisms", "star", "compose"):
         if key not in doc:
             raise TableFormatError(f"missing field {key!r}")
-    if not doc["objects"]:
+    object_labels = _expect(doc["objects"], list, "objects")
+    if not object_labels:
         raise TableFormatError("no objects")
-    if len(set(doc["objects"])) != len(doc["objects"]):
+    for i, lab in enumerate(object_labels):
+        _expect(lab, str, f"objects[{i}]")
+    if len(set(object_labels)) != len(object_labels):
         raise TableFormatError("duplicate object label")
-    objects = [ObjectId(i, lab) for i, lab in enumerate(doc["objects"])]
+    objects = [ObjectId(i, lab) for i, lab in enumerate(object_labels)]
     obj_by_label = {o.label: o for o in objects}
 
     morphs: list[MorphId] = []
     seen_labels: set[str] = set()
-    for i, spec in enumerate(doc["morphisms"]):
+    for i, spec in enumerate(_expect(doc["morphisms"], list, "morphisms")):
+        _expect(spec, dict, f"morphisms[{i}]")
         for key in ("label", "src", "tgt"):
             if key not in spec:
                 raise TableFormatError(f"morphisms[{i}]: missing field {key!r}")
+            _expect(spec[key], str, f"morphisms[{i}].{key}")
         lab = spec["label"]
         if lab in seen_labels:
             raise TableFormatError(f"morphisms[{i}]: duplicate morphism label {lab!r}")
@@ -261,7 +290,8 @@ def multicat_from_document(doc: dict) -> MultiCat:
             raise TableFormatError(
                 f"morphisms[{i}] ({lab!r}): dangling object reference {e.args[0]!r}"
             ) from None
-        morphs.append(MorphId(i, lab, src, tgt, bool(spec.get("identity", False))))
+        is_identity = _expect(spec.get("identity", False), bool, f"morphisms[{i}].identity")
+        morphs.append(MorphId(i, lab, src, tgt, is_identity))
 
     identities_per_object: dict[int, list[str]] = {}
     for m in morphs:
@@ -282,16 +312,16 @@ def multicat_from_document(doc: dict) -> MultiCat:
 
     morph_by_label = {m.label: m for m in morphs}
 
-    def resolve(label: str, where: str) -> MorphId:
+    def resolve(label, where: str) -> MorphId:
         try:
-            return morph_by_label[label]
+            return morph_by_label[_expect(label, str, where)]
         except KeyError:
             raise TableFormatError(
                 f"{where}: dangling morphism reference {label!r}"
             ) from None
 
     star = [0] * len(morphs)
-    star_doc = doc["star"]
+    star_doc = _expect(doc["star"], dict, "star")
     for m in morphs:
         image = star_doc.get(m.label, m.label)
         star[m.index] = resolve(image, f"star[{m.label!r}]").index
@@ -299,7 +329,8 @@ def multicat_from_document(doc: dict) -> MultiCat:
         resolve(lab, "star (key)")
 
     table: dict[tuple[int, int], dict[int, int]] = {}
-    for i, entry in enumerate(doc["compose"]):
+    for i, entry in enumerate(_expect(doc["compose"], list, "compose")):
+        _expect(entry, dict, f"compose[{i}]")
         for key in ("g", "f", "out"):
             if key not in entry:
                 raise TableFormatError(f"compose[{i}]: missing field {key!r}")
@@ -310,39 +341,46 @@ def multicat_from_document(doc: dict) -> MultiCat:
                 f"compose[{i}]: duplicate entry for ({g.label!r}, {f.label!r})"
             )
         out: dict[int, int] = {}
-        for j, term in enumerate(entry["out"]):
-            m = resolve(term.get("m", ""), f"compose[{i}].out[{j}]")
+        for j, term in enumerate(_expect(entry["out"], list, f"compose[{i}].out")):
+            where = f"compose[{i}].out[{j}]"
+            _expect(term, dict, where)
+            m = resolve(term.get("m", ""), f"{where}.m")
             mult = term.get("mult", 1)
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise TableFormatError(
-                    f"compose[{i}].out[{j}]: multiplicity must be a positive "
-                    f"integer, got {mult!r}"
+                    f"{where}: multiplicity must be a positive integer, got {mult!r}"
                 )
             if m.index in out:
-                raise TableFormatError(
-                    f"compose[{i}].out[{j}]: repeated summand {m.label!r}"
-                )
+                raise TableFormatError(f"{where}: repeated summand {m.label!r}")
             out[m.index] = mult
         table[(g.index, f.index)] = out
     return MultiCat(objects, morphs, star, table)
 
 
-def load_multicat(source) -> MultiCat:
-    """Load a table from a JSON string, file object, path, or parsed dict."""
-    if isinstance(source, dict):
-        return multicat_from_document(source)
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def parse_multicat(text: str) -> MultiCat:
+    """Parse the JSON text of an interchange document into a MultiCat."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise TableFormatError(f"parse error at line {e.lineno} col {e.colno}: {e.msg}") from None
     return multicat_from_document(doc)
+
+
+def load_multicat(source) -> MultiCat:
+    """Load a table from a parsed dict, a file object, a path, or JSON text.
+
+    A string is read as JSON text when its first non-blank character
+    opens a JSON object or array, and as a path otherwise; use
+    :func:`parse_multicat` for text whatever it starts with.
+    """
+    if isinstance(source, dict):
+        return multicat_from_document(source)
+    if hasattr(source, "read"):
+        return parse_multicat(source.read())
+    if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
+        return parse_multicat(source)
+    with open(source, "r", encoding="utf-8") as fh:
+        return parse_multicat(fh.read())
 
 
 def multicat_to_document(cat: MultiCat) -> dict:
@@ -397,6 +435,14 @@ def validate(cat: MultiCat) -> ValidationReport:
     * ``star-involution``: star∘star = id, star fixes identities.
     * ``star-ends``: star swaps src and tgt.
     * ``star-anti-automorphism``: star(G∘F) = star(F)∘star(G) elementwise.
+
+    Associativity is checked on every composable triple, identities
+    included, by one sparse kernel over the table compiled into index
+    arrays (once per table), and is exact: its sums are int64 when
+    2·n·max(mult)² < 2^63 proves that none can overflow (n morphisms),
+    and Python ints otherwise.  It runs only when no ``structure``
+    violation was found, and lists violations in sorted (H, G, F)
+    order.
     """
     report = ValidationReport()
     morphs = cat.morphs
@@ -501,12 +547,7 @@ def _triple_sides(cat: MultiCat, h: int, g: int, f: int) -> tuple[dict, dict]:
 
 
 def _check_associativity(cat: MultiCat, report: ValidationReport) -> None:
-    n = len(cat.morphs)
-    if n <= _DENSE_VALIDATE_LIMIT:
-        bad = _associativity_dense(cat)
-    else:
-        bad = _associativity_sparse(cat)
-    for (h, g, f) in bad:
+    for (h, g, f) in _associativity_violations(cat._compiled_form()):
         lhs, rhs = _triple_sides(cat, h, g, f)
         report.violations.append(
             Violation(
@@ -518,40 +559,169 @@ def _check_associativity(cat: MultiCat, report: ValidationReport) -> None:
         )
 
 
-def _associativity_dense(cat: MultiCat) -> list[tuple[int, int, int]]:
-    # Non-composable pairs hold the zero multiset, which makes both sides
-    # of the associativity tensor identity vanish; no masking needed.
-    n = len(cat.morphs)
-    N = np.zeros((n, n, n), dtype=np.int64)
-    for g in range(n):
-        for f in range(n):
-            if cat.composable(g, f):
-                for k, c in cat.compose_idx(g, f).items():
-                    N[g, f, k] = c
-    lhs = np.einsum("hgk,kfm->hgfm", N, N)
-    rhs = np.einsum("gfk,hkm->hgfm", N, N)
-    diff = np.argwhere((lhs != rhs).any(axis=3))
-    return [tuple(map(int, t)) for t in diff]
+@dataclass(frozen=True)
+class _Compiled:
+    """Every composable composite of a table, unit law applied, as index arrays.
+
+    ``into[o]`` and ``out_of[o]`` are the morphs with target and with
+    source o, ascending; ``rank[m]`` is the place of m in ``into[tgt(m)]``.
+    Composable pairs (g, f) are numbered in (g, f) order: g∘f is pair
+    ``pair_first[g] + rank[f]``, and ``pair_f`` holds each pair's f.
+    Entry e says that ``k[e]`` is a summand of pair ``p[e]`` with
+    multiplicity ``c[e]``; entries are sorted by (g, f, k), and those
+    of g are ``first[g]:first[g + 1]``, ``row_len[g]`` of them.
+    ``fm[e]`` is ``rank[f] * n + k[e]``.  ``c`` is int64 when every sum
+    the associativity kernel forms provably fits, object (Python ints)
+    otherwise.
+    """
+
+    n: int
+    into: list[np.ndarray]
+    out_of: list[list[int]]
+    rank: np.ndarray
+    pair_first: np.ndarray
+    pair_f: np.ndarray
+    first: np.ndarray
+    row_len: np.ndarray
+    p: np.ndarray
+    k: np.ndarray
+    fm: np.ndarray
+    c: np.ndarray
 
 
-def _associativity_sparse(cat: MultiCat) -> list[tuple[int, int, int]]:
+def _compile(cat: MultiCat) -> _Compiled:
     n = len(cat.morphs)
-    non_id = [i for i in range(n) if not cat.morphs[i].is_identity]
-    by_src: dict[int, list[int]] = {}
-    for h in non_id:
-        by_src.setdefault(cat.morphs[h].src.index, []).append(h)
+    into: list[list[int]] = [[] for _ in cat.objects]
+    out_of: list[list[int]] = [[] for _ in cat.objects]
+    for m in cat.morphs:
+        into[m.tgt.index].append(m.index)
+        out_of[m.src.index].append(m.index)
+    rank = [0] * n
+    for members in into:
+        for r, m in enumerate(members):
+            rank[m] = r
+    pair_first = [0] * (n + 1)
+    pair_f: list[int] = []
+    outs: list[dict[int, int]] = []  # g∘f of each pair
+    for g, gm in enumerate(cat.morphs):
+        pair_first[g] = len(outs)
+        for f in into[gm.src.index]:
+            pair_f.append(f)
+            outs.append(cat.compose_idx(g, f))
+    pair_first[n] = len(outs)
+    # a kernel key is pair * n + m < pairs * n; offsets stay below it too
+    index = np.int32 if len(outs) * n < 2**31 else np.int64
+    # a side of one (h, g, f, m) sums at most n products of two entries
+    biggest = max(max(out.values(), default=1) for out in outs)
+    exact = np.int64 if 2 * n * biggest * biggest < 2**63 else object
+    sizes = np.fromiter(map(len, outs), dtype=index, count=len(outs))
+    entries = np.concatenate(([0], np.cumsum(sizes))).astype(index)
+    rank_arr = np.array(rank, dtype=index)
+    pair_first = np.array(pair_first, dtype=index)
+    pair_f_arr = np.array(pair_f, dtype=index)
+    first = entries[pair_first]
+    p = np.repeat(np.arange(len(outs), dtype=index), sizes)
+    k = np.fromiter((k for out in outs for k in sorted(out)), dtype=index, count=entries[-1])
+    return _Compiled(
+        n=n,
+        into=[np.array(members, dtype=index) for members in into],
+        out_of=out_of,
+        rank=rank_arr,
+        pair_first=pair_first,
+        pair_f=pair_f_arr,
+        first=first,
+        row_len=np.diff(first),
+        p=p,
+        k=k,
+        fm=rank_arr[pair_f_arr[p]] * n + k,
+        c=np.fromiter(
+            (out[k] for out in outs for k in sorted(out)), dtype=exact, count=entries[-1]
+        ),
+    )
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] : starts[i] + lengths[i], concatenated."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    # the dtype of starts holds every index; offsets may need int64
+    dtype = starts.dtype if total < 2**31 else np.int64
+    return np.arange(total, dtype=dtype) + np.repeat((starts - ends + lengths).astype(dtype), lengths)
+
+
+def _associativity_violations(t: _Compiled) -> list[tuple[int, int, int]]:
+    """Every (h, g, f) with (h∘g)∘f != h∘(g∘f), in sorted order.
+
+    For each h, and for each block of g rows, both sides are expanded
+    into (key, product) terms keyed by pair g∘f and summand m, as
+    pair * n + m.  The keys are sorted and the terms of each key
+    summed, the right side negated, so a key whose sum is not zero
+    witnesses a violation.
+    """
+    n, k, row_len = t.n, t.k, t.row_len
+    index = k.dtype
     bad = []
-    for g in non_id:
-        gm = cat.morphs[g]
-        lefts = by_src.get(gm.tgt.index, [])
-        for f in non_id:
-            if not cat.composable(g, f):
-                continue
-            for h in lefts:
-                lhs, rhs = _triple_sides(cat, h, g, f)
-                if lhs != rhs:
-                    bad.append((h, g, f))
+    for gs, hs in zip(t.into, t.out_of):
+        # gs: every g composable with an h of hs, and every summand of an h∘g
+        rows = _spans(t.first[gs], row_len[gs])  # entries of g∘f, g in gs
+        # no row is empty: g∘1 = g
+        row_bounds = np.concatenate(([0], np.cumsum(row_len[gs])))
+        rows_rank = t.rank[k[rows]]
+        for h in hs:
+            lo, hi = t.first[h], t.first[h + 1]
+            hg = t.pair_f[t.p[lo:hi]]  # the g of each entry of h∘g
+            # entries of h∘g (and of h∘k) for the i-th g of gs start at hg_first[i]
+            hg_first = (lo + np.searchsorted(hg, gs)).astype(index)
+            hg_len = (lo + np.searchsorted(hg, gs, side="right")).astype(index) - hg_first
+            rhs_len = hg_len[rows_rank]
+            # terms each g row adds to the two sides, to size the blocks
+            lhs_sums = np.concatenate(([0], np.cumsum(row_len[k[lo:hi]])))
+            cost = (
+                lhs_sums[hg_first + hg_len - lo] - lhs_sums[hg_first - lo]
+                + np.add.reduceat(rhs_len, row_bounds[:-1], dtype=np.int64)
+            )
+            block = (np.cumsum(cost) - cost) // _PAIR_BUDGET
+            cuts = np.flatnonzero(np.diff(block)) + 1
+            for a, b in zip([0, *cuts], [*cuts, len(gs)]):
+                s, e = hg_first[a], hg_first[b - 1] + hg_len[b - 1]
+                r = slice(row_bounds[a], row_bounds[b])
+                keys, vals = _block_terms(
+                    t, hg[s - lo:e - lo], s, e, rows[r], hg_first[rows_rank[r]], rhs_len[r]
+                )
+                if not len(keys):
+                    continue
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+                sums = np.add.reduceat(vals[order], starts)
+                for pair in sorted(set((keys[starts[sums != 0]] // n).tolist())):
+                    g = int(np.searchsorted(t.pair_first, pair, side="right")) - 1
+                    bad.append((h, g, int(t.pair_f[pair])))
+    bad.sort()  # h runs object by object
     return bad
+
+
+def _block_terms(t: _Compiled, hg, s, e, i, hk_first, hk_len) -> tuple[np.ndarray, np.ndarray]:
+    """The (key, product) terms of one kernel block, right side negated.
+
+    Left, (h∘g)∘f: the entries s:e of h∘g, of which ``hg`` are the g,
+    each a summand k times a summand m of k∘f.  Right, h∘(g∘f): the
+    entries i of g∘f, each a summand k times a summand m of h∘k, whose
+    entries are hk_first : hk_first + hk_len.
+    """
+    k, c = t.k, t.c
+    lengths = t.row_len[k[s:e]]
+    left = int(lengths.sum())
+    keys = np.empty(left + int(hk_len.sum()), dtype=k.dtype)
+    vals = np.empty(len(keys), dtype=c.dtype)
+    j = _spans(t.first[k[s:e]], lengths)
+    np.add(np.repeat(t.pair_first[hg] * t.n, lengths), t.fm[j], out=keys[:left])
+    np.multiply(np.repeat(c[s:e], lengths), c[j], out=vals[:left])
+    j = _spans(hk_first, hk_len)
+    np.add(np.repeat(t.p[i] * t.n, hk_len), k[j], out=keys[left:])
+    np.multiply(np.repeat(c[i], hk_len), c[j], out=vals[left:])
+    np.negative(vals[left:], out=vals[left:])
+    return keys, vals
 
 
 def _fmt_multiset(cat: MultiCat, ms: dict[int, int]) -> str:

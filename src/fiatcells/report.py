@@ -11,9 +11,9 @@ from .analysis import (
     DufloError,
     NotStronglyRegularError,
     PurityError,
+    _fiat_lint,
     cartan_blocks,
     check_left_cell_constancy,
-    fiat_lint,
     m_table,
 )
 from .cells import cells, classify_two_sided
@@ -104,7 +104,7 @@ def report_analyze(cat: MultiCat) -> dict:
         m.label: m_diagonal[m.label] for m in cat.morphs if m.label in m_diagonal
     }
 
-    lint = fiat_lint(cat)
+    lint = _fiat_lint(cat, vreport)
     doc["lint"] = {
         "checks": [
             {"check": c.check, "status": c.status, "witnesses": list(c.witnesses)}

@@ -57,6 +57,30 @@ def corpus_cats():
 _CORPUS = None
 
 
+def three_morph_doc(mult_ff: int, mult_fg: int) -> dict:
+    """F∘F = mult_ff·F, F∘G = G∘F = mult_fg·G, G∘G = G on one object.
+
+    Associative iff mult_ff == mult_fg; otherwise exactly (F,F,G) and
+    (G,F,F) fail, since (F∘F)∘G = mult_ff·mult_fg·G but F∘(F∘G) =
+    mult_fg²·G.
+    """
+    return {
+        "objects": ["i"],
+        "morphisms": [
+            {"label": "1_i", "src": "i", "tgt": "i", "identity": True},
+            {"label": "F", "src": "i", "tgt": "i"},
+            {"label": "G", "src": "i", "tgt": "i"},
+        ],
+        "star": {},
+        "compose": [
+            {"g": "F", "f": "F", "out": [{"m": "F", "mult": mult_ff}]},
+            {"g": "F", "f": "G", "out": [{"m": "G", "mult": mult_fg}]},
+            {"g": "G", "f": "F", "out": [{"m": "G", "mult": mult_fg}]},
+            {"g": "G", "f": "G", "out": [{"m": "G", "mult": 1}]},
+        ],
+    }
+
+
 def corpus():
     global _CORPUS
     if _CORPUS is None:

@@ -1,10 +1,16 @@
+import io
 import json
 import subprocess
 import sys
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fiatcells import load_multicat, validate
 from fiatcells.cli import run
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, three_morph_doc
 
 
 def invoke(capsys, *argv):
@@ -236,3 +242,126 @@ def test_analyze_hecke3_via_pipeline(capsys):
     assert len(sections) == 3
     assert all(s["strongly_regular"] for s in sections)
     assert all(s["left_cell_constant"] for s in sections)
+
+
+def invoke_stdin(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return invoke(capsys, *argv)
+
+
+def test_array_root_on_stdin_is_not_a_path(capsys, monkeypatch):
+    code, out, err = invoke_stdin(capsys, monkeypatch, "[1]\n", "validate", "-")
+    assert code == 1 and out == ""
+    assert "document root must be a JSON object" in err
+    assert "No such file" not in err
+
+
+def _sl2_doc():
+    return json.loads((GOLDEN / "sl2.json").read_text(encoding="utf-8"))
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set(["star"], ["theta", "theta"]), "star"),
+        (_set(["compose", 0, "out"], 3), "compose[0].out"),
+        (_set(["morphisms", 2], 7), "morphisms[2]"),
+        (_set(["morphisms", 1, "label"], ["1_j"]), "morphisms[1].label"),
+        (_set(["compose", 0, "out", 0], ["theta", 1]), "compose[0].out[0]"),
+        (_set(["compose", 0, "out", 0, "m"], ["theta"]), "compose[0].out[0].m"),
+        (_set(["compose", 0, "g"], 1), "compose[0].g"),
+        (_set(["objects"], {"i": 0}), "objects"),
+        (_set(["objects", 0], 0), "objects[0]"),
+        (_set(["morphisms", 0, "identity"], "yes"), "morphisms[0].identity"),
+        (_set(["star", "theta"], None), "star['theta']"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "lint", "analyze"])
+def test_wrongly_typed_fields_exit_1_naming_the_field(capsys, monkeypatch, command, mutate, field):
+    text = json.dumps(mutate(_sl2_doc()))
+    code, out, err = invoke_stdin(capsys, monkeypatch, text, command, "-")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert f"error: {field}" in err
+
+
+def test_int64_overflowing_table_is_not_associative(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(three_morph_doc(2**32, 2**33)), encoding="utf-8")
+    code, out, _ = invoke(capsys, "validate", str(path))
+    assert code == 2
+    assert out.startswith("2 violation(s):")
+    assert "associativity [F, F, G]" in out and "associativity [G, F, F]" in out
+    code, out, _ = invoke(capsys, "analyze", str(path))
+    assert code == 1 and "2 violation(s)" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "lint", "analyze"])
+def test_huge_multiplicity_gets_a_verdict(capsys, tmp_path, command):
+    # F∘F = 2^70·F, F∘G = G∘F = 2^70·G, G∘G = G: associative, sums up to 2^140
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(three_morph_doc(2**70, 2**70)), encoding="utf-8")
+    code, out, err = invoke(capsys, command, str(path))
+    assert code in (0, 2) and "Traceback" not in err
+    if command == "validate":
+        assert (code, out) == (0, "valid (0 violations)\n")
+
+
+def test_lint_reports_the_violation_total(capsys, tmp_path):
+    doc = _sl2_doc()
+    # a star that fixes a morph between different objects breaks star-ends
+    doc["morphisms"] += [{"label": f"X{i}", "src": "i", "tgt": "j"} for i in range(24)]
+    doc["star"].update({f"X{i}": f"X{i}" for i in range(24)})
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    total = len(validate(load_multicat(path)).violations)
+    assert total > 20
+    code, out, _ = invoke(capsys, "lint", "--json", str(path))
+    assert code == 2
+    validity = json.loads(out)["lint"]["checks"][0]
+    assert validity["check"] == "validity" and len(validity["witnesses"]) == 21
+    assert validity["witnesses"][-1] == f"… {total} violations in total (showing 20)"
+    code, out, _ = invoke(capsys, "lint", "--json", str(FIXTURES / "nonassoc.json"))
+    witnesses = json.loads(out)["lint"]["checks"][0]["witnesses"]
+    assert witnesses and not any("in total" in w for w in witnesses)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+# capsys and monkeypatch are re-read and re-set by every invoke_stdin call
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["validate", "lint", "analyze", "cells"]))
+def test_fuzzed_documents_never_crash(capsys, monkeypatch, data, command):
+    doc = _sl2_doc()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(_json_values)
+        if path:
+            _set(list(path), value)(doc)
+        else:
+            doc = value
+    code, _, err = invoke_stdin(capsys, monkeypatch, json.dumps(doc), command, "-")
+    assert code in (0, 1, 2) and "Traceback" not in err

@@ -1,19 +1,32 @@
 import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fiatcells import (
+    CartanData,
     NotComposableError,
     TableFormatError,
+    fiat_lint,
     load_multicat,
+    make_CA,
     make_s2,
     make_sl2_singular,
     multicat_to_document,
+    parse_multicat,
+    random_cartan_data,
+    report_analyze,
     serialize_multicat,
     validate,
 )
 
-from conftest import GOLDEN
+from conftest import FIXTURES, GOLDEN, three_morph_doc
 
 
 def s2_doc():
@@ -85,6 +98,11 @@ def test_load_errors():
         load_multicat(doc)
     with pytest.raises(TableFormatError, match="parse error"):
         load_multicat("{not json")
+    for text in ("[1]", "  [1]\n"):
+        with pytest.raises(TableFormatError, match="document root must be a JSON object"):
+            load_multicat(text)
+    with pytest.raises(TableFormatError, match="document root must be a JSON object"):
+        parse_multicat("1")
 
 
 def test_validate_builtin_clean():
@@ -138,14 +156,105 @@ def test_validate_flags_end_mismatch():
     assert "structure" in report.laws()
 
 
-def test_dense_and_sparse_associativity_agree():
-    from fiatcells import model
-    from conftest import FIXTURES
+def brute_force_associativity(cat):
+    """Every (h, g, f) with (h∘g)∘f != h∘(g∘f), by a plain triple loop."""
+    n = len(cat.morphs)
+    bad = []
+    for h in range(n):
+        for g in range(n):
+            if not cat.composable(h, g):
+                continue
+            for f in range(n):
+                if not cat.composable(g, f):
+                    continue
+                lhs, rhs = {}, {}
+                for k, c in cat.compose_idx(h, g).items():
+                    for m, d in cat.compose_idx(k, f).items():
+                        lhs[m] = lhs.get(m, 0) + c * d
+                for k, c in cat.compose_idx(g, f).items():
+                    for m, d in cat.compose_idx(h, k).items():
+                        rhs[m] = rhs.get(m, 0) + c * d
+                if lhs != rhs:
+                    bad.append((h, g, f))
+    return bad
 
-    cat = load_multicat(FIXTURES / "nonassoc.json")
-    dense = set(model._associativity_dense(cat))
-    sparse = set(model._associativity_sparse(cat))
-    assert dense == sparse and dense
+
+def kernel_associativity(cat):
+    from fiatcells import model
+
+    return model._associativity_violations(cat._compiled_form())
+
+
+def stored_tables():
+    """Every table among the fixtures and goldens; Cartan data via make_CA."""
+    tables = []
+    for path in sorted(FIXTURES.glob("*.json")) + sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "compose" in doc:
+            tables.append((path.name, load_multicat(doc)))
+        elif "components" in doc:
+            tables.append((path.name, make_CA(CartanData(doc["components"]))))
+    return tables
+
+
+def test_associativity_kernel_matches_brute_force(hecke3):
+    tables = stored_tables() + [("hecke3", hecke3)]
+    assert {"nonassoc.json", "cartan_12.json", "sl2.json"} <= {name for name, _ in tables}
+    found = 0
+    for name, cat in tables:
+        want = brute_force_associativity(cat)
+        assert kernel_associativity(cat) == want, name
+        found += len(want)
+    assert found  # nonassoc.json has bad triples
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bumps=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_associativity_kernel_on_perturbed_cartan_tables(seed, bumps):
+    doc = multicat_to_document(make_CA(random_cartan_data(random.Random(seed), 2, 2, 3)))
+    for entry, term, by in bumps if doc["compose"] else ():
+        e = doc["compose"][entry % len(doc["compose"])]
+        e["out"][term % len(e["out"])]["mult"] += by
+    cat = load_multicat(doc)
+    assert kernel_associativity(cat) == brute_force_associativity(cat)
+
+
+def test_associativity_is_exact_beyond_int64():
+    # (F∘F)∘G = 2^65·G but F∘(F∘G) = 2^66·G, which int64 cannot tell apart
+    report = validate(load_multicat(three_morph_doc(2**32, 2**33)))
+    assert report.laws() == ["associativity"]
+    assert [v.witness for v in report.violations] == [("F", "F", "G"), ("G", "F", "F")]
+    assert f"{2**65}·G" in str(report) and f"{2**66}·G" in str(report)
+
+
+def test_exactness_holds_without_asserts(tmp_path):
+    import fiatcells
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(three_morph_doc(2**32, 2**33)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fiatcells.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "fiatcells.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "associativity" in proc.stdout
+
+
+def test_multiplicity_beyond_int64_gets_a_verdict():
+    doc = s2_doc()
+    doc["compose"][0]["out"][0]["mult"] = 2**70
+    cat = load_multicat(doc)
+    assert validate(cat).ok
+    assert fiat_lint(cat).ok
+    assert report_analyze(cat)["m_diagonal"]["F"] == 2**70
 
 
 def test_serializer_is_canonical_utf8_lf():
