@@ -9,16 +9,16 @@ edge sets.  All three are reflexive (take H to be an identity).  By
 construction the right preorder only relates morphisms with equal
 source and the left preorder only morphisms with equal target.
 
-Cells are the strongly connected components of these graphs; the order
-between cells is the induced partial order on the condensation, stored
-as its transitive reduction.
+:func:`preorder_closure` computes every reachability set once per table
+and kind, and everything else is read off it, with no graph library:
+the cells are the classes of mutual reachability, one class lies below
+another when the second is reachable from the first, and the order is
+stored as its Hasse diagram (the covering pairs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from .model import MorphId, MultiCat, NotComposableError
 
@@ -66,57 +66,47 @@ class CellPartition:
         return [cat.morphs[i] for i in sorted(self.classes[idx])]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularityVerdict:
     two_sided_class: int
     regular: bool
     strongly_regular: bool
     # pairs of comparable right classes (regularity), oversized or empty
     # left/right intersections (strong regularity / input-integrity diagnostics)
-    witnesses: list[tuple] = field(default_factory=list)
-    empty_intersections: list[tuple[int, int]] = field(default_factory=list)
+    witnesses: tuple[tuple, ...] = ()
+    empty_intersections: tuple[tuple[int, int], ...] = ()
 
 
 # ---------------------------------------------------------------------------
 # preorder graphs and closures
 
 
-def _cache(cat: MultiCat) -> dict:
-    # per-table memo for closures/partitions; the table is immutable
-    if not hasattr(cat, "_cell_cache"):
-        cat._cell_cache = {}
-    return cat._cell_cache
-
-
 def _edges(cat: MultiCat, kind: str) -> dict[int, set[int]]:
-    n = len(cat.morphs)
-    adj: dict[int, set[int]] = {i: {i} for i in range(n)}
+    right = kind in ("right", "two-sided")
+    left = kind in ("left", "two-sided")
+    adj: dict[int, set[int]] = {i: {i} for i in range(len(cat.morphs))}
     for (g, f), out in cat.table.items():
-        for k in out:
-            if kind in ("right", "two-sided"):
-                adj[f].add(k)
-            if kind in ("left", "two-sided"):
-                adj[g].add(k)
+        if right:
+            adj[f].update(out)
+        if left:
+            adj[g].update(out)
     # unit-law composites are not stored but do generate order:
     # h∘1_t = h puts 1_t below every h with source t in the right order,
     # and 1_t∘f = f puts 1_t below every f with target t in the left order
     for m in cat.morphs:
-        if not m.is_identity:
-            continue
-        t = m.src.index
-        for other in cat.morphs:
-            if kind in ("right", "two-sided") and other.src.index == t:
-                adj[m.index].add(other.index)
-            if kind in ("left", "two-sided") and other.tgt.index == t:
-                adj[m.index].add(other.index)
+        if m.is_identity:
+            t = m.src.index
+            adj[m.index].update(
+                o.index for o in cat.morphs
+                if (right and o.src.index == t) or (left and o.tgt.index == t)
+            )
     return adj
 
 
 def preorder_closure(cat: MultiCat, kind: str) -> dict[int, frozenset[int]]:
     """Reachability sets of the preorder graph, memoized on the table."""
-    cache = _cache(cat)
-    key = ("closure", kind)
-    if key not in cache:
+    closures = cat._closures
+    if kind not in closures:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         adj = _edges(cat, kind)
@@ -125,14 +115,12 @@ def preorder_closure(cat: MultiCat, kind: str) -> dict[int, frozenset[int]]:
             seen = {start}
             stack = [start]
             while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
+                new = adj[stack.pop()] - seen
+                seen |= new
+                stack += new
             reach[start] = frozenset(seen)
-        cache[key] = reach
-    return cache[key]
+        closures[kind] = reach
+    return closures[kind]
 
 
 def leq(cat: MultiCat, kind: str, f: MorphId, g: MorphId) -> bool:
@@ -154,40 +142,31 @@ def leq_LR(cat: MultiCat, f: MorphId, g: MorphId) -> bool:
 
 def cells(cat: MultiCat, kind: str) -> CellPartition:
     """Cells of the given kind with the induced order between them."""
-    cache = _cache(cat)
-    key = ("cells", kind)
-    if key in cache:
-        return cache[key]
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(cat.morphs)))
-    for u, vs in _edges(cat, kind).items():
-        graph.add_edges_from((u, v) for v in vs if v != u)
-    sccs = [frozenset(c) for c in nx.strongly_connected_components(graph)]
-    sccs.sort(key=min)
-    class_of = {m: i for i, c in enumerate(sccs) for m in c}
-    cond = nx.DiGraph()
-    cond.add_nodes_from(range(len(sccs)))
-    for u, vs in _edges(cat, kind).items():
-        for v in vs:
-            a, b = class_of[u], class_of[v]
-            if a != b:
-                cond.add_edge(a, b)
-    closure = set()
-    for a in cond.nodes:
-        closure.add((a, a))
-        for b in nx.descendants(cond, a):
-            closure.add((a, b))
-    reduction = nx.transitive_reduction(cond)
+    partitions = cat._partitions
+    if kind in partitions:
+        return partitions[kind]
+    reach = preorder_closure(cat, kind)
+    classes: list[frozenset[int]] = []
+    class_of: dict[int, int] = {}
+    for u in range(len(cat.morphs)):  # ascending: classes come sorted by minimum
+        if u not in class_of:
+            members = frozenset(v for v in reach[u] if u in reach[v])
+            class_of.update(dict.fromkeys(members, len(classes)))
+            classes.append(members)
+    # above[a]: the classes strictly above class a
+    above = [{class_of[v] for v in reach[min(c)]} - {a} for a, c in enumerate(classes)]
+    # b covers a when nothing lies strictly between them
+    covers = [
+        (a, b) for a, bs in enumerate(above) for b in bs.difference(*(above[c] for c in bs))
+    ]
     part = CellPartition(
         kind=kind,
-        classes=tuple(sccs),
+        classes=tuple(classes),
         class_of=class_of,
-        order_edges=tuple(sorted(reduction.edges)),
-        closure=frozenset(closure),
+        order_edges=tuple(sorted(covers)),
+        closure=frozenset((a, b) for a, bs in enumerate(above) for b in (a, *bs)),
     )
-    cache[key] = part
+    partitions[kind] = part
     return part
 
 
@@ -229,42 +208,36 @@ def classify_two_sided(cat: MultiCat, q: int) -> RegularityVerdict:
     every left/right cell intersection inside the class is a singleton.
     Empty intersections on a regular class are recorded as an
     input-integrity diagnostic (they cannot happen for tables coming
-    from the intended categories).
+    from the intended categories).  Verdicts are read from the table's
+    cell analysis, which computes each of them once.
     """
-    two_sided = cells(cat, "two-sided")
-    if not 0 <= q < len(two_sided.classes):
+    from .analysis import cell_analysis  # analysis builds on this module
+
+    verdicts = cell_analysis(cat).verdicts
+    if not 0 <= q < len(verdicts):
         raise IndexError(f"two-sided class index {q} out of range")
-    members = two_sided.classes[q]
+    return verdicts[q]
+
+
+def _regularity(cat: MultiCat, q: int) -> RegularityVerdict:
+    """The verdict :func:`classify_two_sided` reports, computed afresh."""
+    members = cells(cat, "two-sided").classes[q]
     right = cells(cat, "right")
     left = cells(cat, "left")
-    right_classes = sorted({right.class_of[m] for m in members})
-    left_classes = sorted({left.class_of[m] for m in members})
-
-    verdict = RegularityVerdict(q, True, True)
-    for i, a in enumerate(right_classes):
-        for b in right_classes[i + 1 :]:
-            if right.leq_class(a, b) or right.leq_class(b, a):
-                verdict.regular = False
-                verdict.witnesses.append(("comparable-right-cells", a, b))
-    if verdict.regular:
-        for a in right_classes:
-            for b in left_classes:
-                inter = right.classes[a] & left.classes[b]
-                if len(inter) == 0:
-                    verdict.empty_intersections.append((b, a))
-                elif len(inter) > 1:
-                    verdict.strongly_regular = False
-                    verdict.witnesses.append(
-                        ("intersection-not-singleton", b, a, tuple(sorted(inter)))
-                    )
-    else:
-        verdict.strongly_regular = False
-    if verdict.empty_intersections:
-        # falsifies the structure theorem for regular cells: bad input
-        verdict.witnesses.extend(
-            ("empty-intersection", b, a) for (b, a) in verdict.empty_intersections
-        )
-    return verdict
+    rcs = sorted({right.class_of[m] for m in members})
+    lcs = sorted({left.class_of[m] for m in members})
+    comparable = [("comparable-right-cells", a, b) for i, a in enumerate(rcs) for b in rcs[i + 1 :]
+                  if right.leq_class(a, b) or right.leq_class(b, a)]
+    if comparable:
+        return RegularityVerdict(q, False, False, tuple(comparable))
+    meets = [(b, a, right.classes[a] & left.classes[b]) for a in rcs for b in lcs]
+    oversized = [("intersection-not-singleton", b, a, tuple(sorted(meet)))
+                 for b, a, meet in meets if len(meet) > 1]
+    # an empty intersection falsifies the structure theorem for regular
+    # cells: bad input
+    empty = tuple((b, a) for b, a, meet in meets if not meet)
+    witnesses = oversized + [("empty-intersection", b, a) for b, a in empty]
+    return RegularityVerdict(q, True, not oversized, tuple(witnesses), empty)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
     def var(cls, exp: int = 1) -> "LaurentPoly":
         return cls({exp: 1})
 

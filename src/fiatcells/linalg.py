@@ -16,9 +16,7 @@ __all__ = [
     "kernel_basis",
     "solve_unique",
     "mat_mul",
-    "mat_vec",
     "identity_matrix",
-    "zero_matrix",
     "reduce_vector",
 ]
 
@@ -120,16 +118,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def identity_matrix(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n: int, m: int) -> Matrix:
-    return [[Fraction(0)] * m for _ in range(n)]
 
 
 def reduce_vector(reduced: Matrix, pivots: list[int], v: Vector) -> Vector:

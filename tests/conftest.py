@@ -1,9 +1,12 @@
+import json
 import pathlib
 import random
 
 import pytest
 
 from fiatcells import (
+    CartanData,
+    load_multicat,
     make_CA,
     make_hecke,
     make_s2,
@@ -55,6 +58,18 @@ def corpus_cats():
 
 
 _CORPUS = None
+
+
+def stored_tables():
+    """Every table among the fixtures and goldens; Cartan data via make_CA."""
+    tables = []
+    for path in sorted(FIXTURES.glob("*.json")) + sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "compose" in doc:
+            tables.append((path.name, load_multicat(doc)))
+        elif "components" in doc:
+            tables.append((path.name, make_CA(CartanData(doc["components"]))))
+    return tables
 
 
 def three_morph_doc(mult_ff: int, mult_fg: int) -> dict:

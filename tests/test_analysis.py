@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from fiatcells import (
@@ -10,16 +13,20 @@ from fiatcells import (
     cell_subcategory,
     cells,
     check_left_cell_constancy,
+    classify_two_sided,
     duflo_element,
     fiat_lint,
     load_multicat,
     m_coeff,
     m_table,
     make_CA,
+    random_cartan_data,
+    report_analyze,
+    serialize_multicat,
     validate,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, stored_tables
 
 
 def two_sided_class_of(cat, label):
@@ -296,3 +303,35 @@ def test_lint_star_cell_compat_failure():
     assert validate(cat).ok
     report = fiat_lint(cat)
     assert report.result("star-cell-compatibility").status == "fail"
+
+
+def call_public_analysis_backwards(cat):
+    """Every public analysis function, last-computed invariants first."""
+    n_two_sided = len(cells(cat, "two-sided").classes)
+    n_right = len(cells(cat, "right").classes)
+    calls = [(cartan_blocks, q) for q in reversed(range(n_two_sided))]
+    calls += [(cartan_matrix, rc, o) for rc in reversed(range(n_right)) for o in range(len(cat.objects))]
+    calls += [(check_left_cell_constancy, q) for q in reversed(range(n_two_sided))]
+    calls += [(m_table, q) for q in reversed(range(n_two_sided))]
+    calls += [(m_coeff, f, h) for f in reversed(cat.morphs) for h in cat.morphs]
+    calls += [(duflo_element, rc) for rc in reversed(range(n_right))]
+    calls += [(classify_two_sided, q) for q in reversed(range(n_two_sided))]
+    for fn, *args in calls:
+        try:
+            fn(cat, *args)
+        except (ValueError, IndexError):
+            pass  # hypotheses unmet on this table: the answer is the error
+
+
+def test_analysis_does_not_depend_on_call_order(hecke3):
+    rng = random.Random(4)
+    tables = stored_tables() + [("hecke3", hecke3)]
+    tables += [(f"ca{i}", make_CA(random_cartan_data(rng))) for i in range(6)]
+    for name, cat in tables:
+        text = serialize_multicat(cat)
+        fresh = load_multicat(text)
+        want = (json.dumps(report_analyze(fresh)), str(fiat_lint(load_multicat(text))))
+        warmed = load_multicat(text)
+        call_public_analysis_backwards(warmed)
+        got = (json.dumps(report_analyze(warmed)), str(fiat_lint(warmed)))
+        assert got == want, name

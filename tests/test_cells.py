@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fiatcells import (
     NotComposableError,
@@ -10,8 +14,13 @@ from fiatcells import (
     leq_L,
     leq_LR,
     leq_R,
+    make_CA,
+    random_cartan_data,
     verify_order_factorization,
 )
+from fiatcells.cells import preorder_closure
+
+from conftest import stored_tables
 
 
 def labels(cat, part):
@@ -173,3 +182,75 @@ def test_hecke3_cell_counts(hecke3):
     assert len(cells(hecke3, "two-sided").classes) == 3
     sizes = sorted(len(c) for c in cells(hecke3, "right").classes)
     assert sizes == [1, 1, 2, 2]
+
+
+def reference_cells(cat, kind):
+    """(classes, class_of, closure, Hasse edges, reachability) by definition.
+
+    F <= K when a chain of edges leads from F to K: for the right order
+    an edge F -> K for each summand K of a composite H∘F, for the left
+    order for each summand K of F∘H, and both for the two-sided order.
+    The composites are the stored ones and those of the unit law.
+    """
+    n = len(cat.morphs)
+    composites = list(cat.table.items()) + [
+        ((g, f), cat.compose_idx(g, f))
+        for g in range(n)
+        for f in range(n)
+        if cat.composable(g, f) and (cat.morphs[g].is_identity or cat.morphs[f].is_identity)
+    ]
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for (g, f), out in composites:
+        for k in out:
+            if kind in ("right", "two-sided"):
+                le[f][k] = True
+            if kind in ("left", "two-sided"):
+                le[g][k] = True
+    for m in range(n):  # Warshall: transitive closure
+        for i in range(n):
+            if le[i][m]:
+                for j in range(n):
+                    le[i][j] = le[i][j] or le[m][j]
+    classes = sorted(
+        {frozenset(j for j in range(n) if le[i][j] and le[j][i]) for i in range(n)}, key=min
+    )
+    class_of = {i: c for c, members in enumerate(classes) for i in members}
+    below = {
+        (a, b)
+        for a, sa in enumerate(classes)
+        for b, sb in enumerate(classes)
+        if any(le[i][j] for i in sa for j in sb)
+    }
+    hasse = sorted(
+        (a, b)
+        for (a, b) in below
+        if a != b
+        and not any((a, c) in below and (c, b) in below for c in range(len(classes)) if c not in (a, b))
+    )
+    reach = {i: frozenset(j for j in range(n) if le[i][j]) for i in range(n)}
+    return tuple(classes), class_of, frozenset(below), tuple(hasse), reach
+
+
+def assert_cells_match_reference(cat, name):
+    for kind in ("left", "right", "two-sided"):
+        classes, class_of, closure, hasse, reach = reference_cells(cat, kind)
+        part = cells(cat, kind)
+        assert part.classes == classes, (name, kind)
+        assert part.class_of == class_of, (name, kind)
+        assert part.closure == closure, (name, kind)
+        assert part.order_edges == hasse, (name, kind)
+        assert preorder_closure(cat, kind) == reach, (name, kind)
+
+
+def test_cells_match_reference(hecke3, hecke4):
+    tables = stored_tables() + [("hecke3", hecke3), ("hecke4", hecke4)]
+    assert {"nonassoc.json", "cartan_12.json", "sl2.json"} <= {name for name, _ in tables}
+    for name, cat in tables:
+        assert_cells_match_reference(cat, name)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cells_match_reference_on_random_cartan_tables(seed):
+    cat = make_CA(random_cartan_data(random.Random(seed)))
+    assert_cells_match_reference(cat, seed)

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fiatcells import (
-    CartanData,
     NotComposableError,
     TableFormatError,
     fiat_lint,
@@ -26,7 +25,7 @@ from fiatcells import (
     validate,
 )
 
-from conftest import FIXTURES, GOLDEN, three_morph_doc
+from conftest import FIXTURES, GOLDEN, stored_tables, three_morph_doc
 
 
 def s2_doc():
@@ -180,21 +179,9 @@ def brute_force_associativity(cat):
 
 
 def kernel_associativity(cat):
-    from fiatcells import model
+    from fiatcells import _kernel
 
-    return model._associativity_violations(cat._compiled_form())
-
-
-def stored_tables():
-    """Every table among the fixtures and goldens; Cartan data via make_CA."""
-    tables = []
-    for path in sorted(FIXTURES.glob("*.json")) + sorted(GOLDEN.glob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if "compose" in doc:
-            tables.append((path.name, load_multicat(doc)))
-        elif "components" in doc:
-            tables.append((path.name, make_CA(CartanData(doc["components"]))))
-    return tables
+    return _kernel._associativity_violations(cat._compiled_form())
 
 
 def test_associativity_kernel_matches_brute_force(hecke3):
@@ -255,6 +242,55 @@ def test_multiplicity_beyond_int64_gets_a_verdict():
     assert validate(cat).ok
     assert fiat_lint(cat).ok
     assert report_analyze(cat)["m_diagonal"]["F"] == 2**70
+
+
+def test_multicat_is_read_only():
+    cat = load_multicat(three_morph_doc(2, 2))
+    f = cat.morph("F")
+    with pytest.raises(TypeError):
+        cat.table[(f.index, f.index)][f.index] = 3
+    with pytest.raises(TypeError):
+        cat.morphs[0] = f
+    with pytest.raises(TypeError):
+        cat.star_map[0] = 1
+    assert isinstance(cat.objects, tuple)
+
+
+def test_multicat_pickles_and_deep_copies(sl2):
+    import copy
+    import pickle
+
+    validate(sl2)  # a copy must not depend on the caches filled here
+    for twin in (pickle.loads(pickle.dumps(sl2)), copy.deepcopy(sl2)):
+        assert twin == sl2
+        assert serialize_multicat(twin) == serialize_multicat(sl2)
+        assert validate(twin).ok
+
+
+def test_cached_verdict_cannot_go_stale():
+    # validate caches the compiled table; changing F∘F from 2·F to 3·F
+    # afterwards must not leave a "valid" verdict for a non-associative table
+    cat = load_multicat(three_morph_doc(2, 2))
+    assert validate(cat).ok
+    f = cat.morph("F").index
+    with pytest.raises(TypeError):
+        cat.table[(f, f)] = {f: 3}
+    assert cat.compose_idx(f, f) == {f: 2}
+    assert validate(cat).ok
+    assert not validate(load_multicat(three_morph_doc(3, 2))).ok
+
+
+def test_cli_import_skips_numpy_and_networkx():
+    import fiatcells
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fiatcells.__file__).parents[1]))
+    code = (
+        "import sys, fiatcells.cli; "
+        "print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_serializer_is_canonical_utf8_lf():
