@@ -176,9 +176,7 @@ class CellAnalysis:
 
 def cell_analysis(cat: MultiCat) -> CellAnalysis:
     """The cell analysis of ``cat``, built on first use and kept on the table."""
-    if cat._analysis is None:
-        cat._analysis = _analyze(cat)
-    return cat._analysis
+    return cat._derived("_analysis", _analyze)
 
 
 def _analyze(cat: MultiCat) -> CellAnalysis:

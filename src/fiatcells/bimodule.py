@@ -5,10 +5,26 @@ Algebras are given by structure constants with a distinguished list of
 orthogonal primitive idempotents (given, never computed).  Bimodules
 carry explicit left/right action matrices.  Tensor products over the
 middle algebra are computed as exact cokernels of the balancing map,
-homomorphism spaces as kernels of the intertwining system, and
-decompositions into a declared summand list by the hom-count Gram
+and decompositions into a declared summand list by the hom-count Gram
 method.  This is enough to rebuild the composition tables of the
 projective-functor categories independently of their closed formula.
+
+Homomorphism spaces are computed in one of two ways.  A bimodule built
+by :func:`projective_bimodule` or :func:`identity_bimodule` records a
+presentation by one generator g: relations Σ x·g·y = 0, and each basis
+element written as x·g·y.  A map out of it is fixed by the image n of g,
+which must satisfy the relations, so Hom(M, N) is a kernel over dim N
+unknowns instead of dim M · dim N:
+
+- projective source, g = f⊗e: Hom(A·f ⊗ e·B, N) ≅ f·N·e, with
+  v ↦ (u⊗w ↦ u·v·w), so ``hom_dim`` is ``corner_dim``;
+- identity source, g = 1: Hom(A, N) ≅ {n : a·n = n·a}, with
+  n ↦ (a ↦ a·n).
+
+Every other source (tensor products, direct sums, bimodules read from a
+file) uses the kernel of the full intertwining system, which is also
+the reference the generator path is tested against.  Both return the
+same basis, the kernel basis of the intertwining system.
 
 All arithmetic is exact; there are no tolerance parameters.
 """
@@ -16,15 +32,17 @@ All arithmetic is exact; there are no tolerance parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import (
+    _echelon,
+    _kernel,
+    _reduce_modulo,
     identity_matrix,
-    kernel_basis,
     mat_mul,
     rank,
-    reduce_vector,
     rref,
     solve_unique,
 )
@@ -58,6 +76,7 @@ __all__ = [
 DEFAULT_DIMENSION_CAP = 4096
 
 Matrix = list[list[Fraction]]
+Vector = tuple[Fraction, ...]
 
 
 class DecompositionError(ValueError):
@@ -149,9 +168,28 @@ class Algebra:
             raise ValueError(f"algebra {self.name}: idempotents do not sum to 1")
 
 
+class Presentation(NamedTuple):
+    """A bimodule presented by one generator g.
+
+    ``relations`` are the relations Σ x·g·y = 0, each a tuple of (x, y)
+    pairs of coordinate vectors of the left and right algebra, with the
+    coefficient folded into x; ``basis`` writes basis element j of the
+    bimodule as x_j·g·y_j.
+    """
+
+    relations: tuple[tuple[tuple[Vector, Vector], ...], ...]
+    basis: tuple[tuple[Vector, Vector], ...]
+
+
 @dataclass
 class Bimodule:
-    """(left, right)-bimodule with explicit action matrices per basis element."""
+    """(left, right)-bimodule with explicit action matrices per basis element.
+
+    ``generator`` is set by the constructors that know a presentation by
+    one generator of the bimodule as they build it; hom spaces out of the
+    bimodule are then computed from it.  It takes no part in equality or
+    repr.
+    """
 
     name: str
     left: Algebra
@@ -159,6 +197,7 @@ class Bimodule:
     dim: int
     left_action: list[Matrix]
     right_action: list[Matrix]
+    generator: Presentation | None = field(default=None, compare=False, repr=False)
 
     def left_act(self, a: list[Fraction]) -> Matrix:
         out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
@@ -258,11 +297,17 @@ def dual_numbers(name: str = "D") -> Algebra:
 
 
 def identity_bimodule(a: Algebra) -> Bimodule:
-    left = [a.left_mult_matrix([Fraction(1 if t == i else 0) for t in range(a.dim)])
-            for i in range(a.dim)]
-    right = [a.right_mult_matrix([Fraction(1 if t == i else 0) for t in range(a.dim)])
-             for i in range(a.dim)]
-    return Bimodule(a.name, a, a, a.dim, left, right)
+    """A as an A-A-bimodule, generated by 1 subject to a·1 = 1·a."""
+    basis = [tuple(Fraction(1 if t == i else 0) for t in range(a.dim)) for i in range(a.dim)]
+    left = [a.left_mult_matrix(x) for x in basis]
+    right = [a.right_mult_matrix(x) for x in basis]
+    unit = tuple(a.unit)
+    minus_unit = tuple(-x for x in a.unit)
+    generator = Presentation(
+        relations=tuple(((x, unit), (minus_unit, x)) for x in basis),
+        basis=tuple((x, unit) for x in basis),
+    )
+    return Bimodule(a.name, a, a, a.dim, left, right, generator)
 
 
 def _subspace_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -318,12 +363,48 @@ def projective_bimodule(a: Algebra, f_idx: int, b: Algebra, e_idx: int,
                     for p in range(len(af)):
                         mat[pack(p, q2)][pack(p, q)] = c
         right_action.append(mat)
+    # generated by g = f⊗e subject to (1 - f)·g = 0 = g·(1 - e), each
+    # relation void when the idempotent is 1; the basis element u⊗w is u·g·w
+    one_minus_f = tuple(s - t for s, t in zip(a.unit, f))
+    one_minus_e = tuple(s - t for s, t in zip(b.unit, e))
+    relations = []
+    if any(one_minus_f):
+        relations.append(((one_minus_f, tuple(b.unit)),))
+    if any(one_minus_e):
+        relations.append(((tuple(a.unit), one_minus_e),))
+    generator = Presentation(
+        relations=tuple(relations),
+        basis=tuple((tuple(u), tuple(w)) for u in af for w in eb),
+    )
     label = name or f"{a.name}f{f_idx}⊗e{e_idx}{b.name}"
-    return Bimodule(label, a, b, dim, left_action, right_action)
+    return Bimodule(label, a, b, dim, left_action, right_action, generator)
 
 
 # ---------------------------------------------------------------------------
 # tensor, hom, decomposition
+
+
+def _columns(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
+    """The non-zero entries (row, value) of each column of a square matrix."""
+    cols: list[list[tuple[int, Fraction]]] = [[] for _ in mat]
+    for r, row in enumerate(mat):
+        for c, x in enumerate(row):
+            if x:
+                cols[c].append((r, x))
+    return cols
+
+
+def _act(actions, coeffs, v: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Σ coeffs[i]·action_i applied to a sparse vector; actions by _columns."""
+    out: dict[int, Fraction] = {}
+    for i, a in enumerate(coeffs):
+        if a:
+            cols = actions[i]
+            for c, x in v.items():
+                ax = a * x
+                for r, y in cols[c]:
+                    out[r] = out.get(r, 0) + ax * y
+    return out
 
 
 def tensor_over(m: Bimodule, n: Bimodule, max_dim: int = DEFAULT_DIMENSION_CAP) -> Bimodule:
@@ -347,131 +428,161 @@ def tensor_over(m: Bimodule, n: Bimodule, max_dim: int = DEFAULT_DIMENSION_CAP) 
     def pack(i: int, j: int) -> int:
         return i * n.dim + j
 
-    relations: list[list[Fraction]] = []
-    mid = m.right
-    for bidx in range(mid.dim):
-        mb = m.right_action[bidx]
-        bn = n.left_action[bidx]
+    relations: list[dict[int, Fraction]] = []
+    for mb, bn in zip(map(_columns, m.right_action), map(_columns, n.left_action)):
         for i in range(m.dim):
             for j in range(n.dim):
-                row = [Fraction(0)] * full
-                for i2 in range(m.dim):
-                    if mb[i2][i]:
-                        row[pack(i2, j)] += mb[i2][i]
-                for j2 in range(n.dim):
-                    if bn[j2][j]:
-                        row[pack(i, j2)] -= bn[j2][j]
-                if any(row):
-                    relations.append(row)
-    reduced, pivots = rref(relations) if relations else ([], [])
-    reduced = reduced[: len(pivots)]
-    free = [c for c in range(full) if c not in pivots]
+                row: dict[int, Fraction] = {}
+                for i2, x in mb[i]:
+                    row[pack(i2, j)] = row.get(pack(i2, j), 0) + x
+                for j2, y in bn[j]:
+                    row[pack(i, j2)] = row.get(pack(i, j2), 0) - y
+                relations.append(row)
+    echelon = _echelon(relations, full)
+    free = [c for c in range(full) if c not in echelon]
     dim = len(free)
     free_pos = {c: t for t, c in enumerate(free)}
 
-    def project(vec: list[Fraction]) -> list[Fraction]:
-        red = reduce_vector(reduced, pivots, vec) if pivots else vec
-        return [red[c] for c in free]
-
-    def descend(full_mat_action) -> Matrix:
+    def descend(image) -> Matrix:
         mat = [[Fraction(0)] * dim for _ in range(dim)]
         for t, c in enumerate(free):
-            i, j = divmod(c, n.dim)
-            img = [Fraction(0)] * full
-            full_mat_action(i, j, img)
-            col = project(img)
-            for r in range(dim):
-                mat[r][t] = col[r]
+            col, den = _reduce_modulo(echelon, image(*divmod(c, n.dim)))
+            for k, x in col.items():
+                mat[free_pos[k]][t] = Fraction(x, den)
         return mat
 
-    left_action = []
-    for aidx in range(m.left.dim):
-        am = m.left_action[aidx]
-
-        def act(i, j, img, am=am):
-            for i2 in range(m.dim):
-                if am[i2][i]:
-                    img[pack(i2, j)] += am[i2][i]
-
-        left_action.append(descend(act))
-    right_action = []
-    for cidx in range(n.right.dim):
-        nc = n.right_action[cidx]
-
-        def act(i, j, img, nc=nc):
-            for j2 in range(n.dim):
-                if nc[j2][j]:
-                    img[pack(i, j2)] += nc[j2][j]
-
-        right_action.append(descend(act))
+    left_action = [
+        descend(lambda i, j, am=am: {pack(i2, j): x for i2, x in am[i]})
+        for am in map(_columns, m.left_action)
+    ]
+    right_action = [
+        descend(lambda i, j, nc=nc: {pack(i, j2): x for j2, x in nc[j]})
+        for nc in map(_columns, n.right_action)
+    ]
     return Bimodule(f"({m.name})⊗({n.name})", m.left, n.right, dim, left_action, right_action)
 
 
-def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
-    """Basis of the space of maps intertwining both actions."""
+def _check_same_pair(m: Bimodule, n: Bimodule) -> None:
     if m.left.name != n.left.name or m.right.name != n.right.name:
         raise ValueError("hom between bimodules over different algebra pairs")
-    if m.dim == 0 or n.dim == 0:
-        return []
+
+
+def _intertwiners(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
+    """Hom(M, N) as the kernel of X·a_M - a_N·X = 0 over all n.dim·m.dim entries."""
     unknowns = n.dim * m.dim  # X[r][c], row-major
 
     def pack(r: int, c: int) -> int:
         return r * m.dim + c
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for actions_m, actions_n in ((m.left_action, n.left_action),
                                  (m.right_action, n.right_action)):
         for am, an in zip(actions_m, actions_n):
-            # X·am - an·X = 0
+            am_cols = _columns(am)
+            an_rows = [[(t, x) for t, x in enumerate(row) if x] for row in an]
             for r in range(n.dim):
                 for c in range(m.dim):
-                    row = [Fraction(0)] * unknowns
-                    for t in range(m.dim):
-                        if am[t][c]:
-                            row[pack(r, t)] += am[t][c]
-                    for t in range(n.dim):
-                        if an[r][t]:
-                            row[pack(t, c)] -= an[r][t]
-                    if any(row):
-                        rows.append(row)
-    basis = kernel_basis(rows, unknowns)
+                    row: dict[int, Fraction] = {}
+                    for t, x in am_cols[c]:
+                        row[pack(r, t)] = row.get(pack(r, t), 0) + x
+                    for t, x in an_rows[r]:
+                        row[pack(t, c)] = row.get(pack(t, c), 0) - x
+                    rows.append(row)
+    return [
+        BimoduleMap(m, n, tuple(tuple(v[pack(r, c)] for c in range(m.dim))
+                                for r in range(n.dim)))
+        for v in _kernel(_echelon(rows, unknowns), unknowns)
+    ]
+
+
+def _action_columns(n: Bimodule):
+    """The left and right action matrices of N, each by _columns."""
+    return [_columns(a) for a in n.left_action], [_columns(b) for b in n.right_action]
+
+
+def _generator_images(m: Bimodule, n: Bimodule, left, right) -> dict[int, dict[int, int]]:
+    """Echelon form of the relations of M's generator imposed on n ∈ N.
+
+    ``left`` and ``right`` are N's actions by _action_columns.  The
+    kernel is the space of images of the generator, i.e. Hom(M, N).
+    """
+    rows: list[dict[int, Fraction]] = []
+    for relation in m.generator.relations:
+        block: list[dict[int, Fraction]] = [{} for _ in range(n.dim)]
+        for c in range(n.dim):
+            for x, y in relation:
+                for r, val in _act(left, x, _act(right, y, {c: 1})).items():
+                    block[r][c] = block[r].get(c, 0) + val
+        rows += block
+    return _echelon(rows, n.dim)
+
+
+def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
+    """Basis of the space of maps intertwining both actions.
+
+    The basis is the kernel basis of the intertwining system, however
+    the space is computed: from the generator of M when it has one,
+    else from that system itself.
+    """
+    _check_same_pair(m, n)
+    if m.dim == 0 or n.dim == 0:
+        return []
+    if m.generator is None:
+        return _intertwiners(m, n)
+    left, right = _action_columns(n)
+    echelon = _generator_images(m, n, left, right)
+    size = n.dim * m.dim
+    # the map sending the generator to v, flattened row-major with the
+    # column order reversed: the rref of these rows, read back in the
+    # original order, is the kernel basis of the intertwining system
+    flipped = []
+    for v in _kernel(echelon, n.dim):
+        image = {c: x for c, x in enumerate(v) if x}
+        flipped.append({
+            size - 1 - (r * m.dim + j): x
+            for j, (x_j, y_j) in enumerate(m.generator.basis)
+            for r, x in _act(left, x_j, _act(right, y_j, image)).items()
+        })
     maps = []
-    for v in basis:
-        mat = tuple(
-            tuple(v[pack(r, c)] for c in range(m.dim)) for r in range(n.dim)
-        )
-        maps.append(BimoduleMap(m, n, mat))
+    reduced = _echelon(flipped, size)
+    for lead in sorted(reduced, reverse=True):
+        row, p = reduced[lead], reduced[lead][lead]
+        mat = [[Fraction(0)] * m.dim for _ in range(n.dim)]
+        for k, x in row.items():
+            r, j = divmod(size - 1 - k, m.dim)
+            mat[r][j] = Fraction(x, p)
+        maps.append(BimoduleMap(m, n, tuple(map(tuple, mat))))
     return maps
 
 
 def hom_dim(m: Bimodule, n: Bimodule) -> int:
-    return len(hom_space(m, n))
+    return _hom_dim(m, n, None)
+
+
+def _hom_dim(m: Bimodule, n: Bimodule, columns) -> int:
+    """hom_dim, given N's actions by _action_columns when the caller has them."""
+    _check_same_pair(m, n)
+    if m.generator is None or m.dim == 0 or n.dim == 0:
+        return len(hom_space(m, n))
+    return n.dim - len(_generator_images(m, n, *(columns or _action_columns(n))))
 
 
 def end_is_local(m: Bimodule) -> bool:
     """dim(End / radical) == 1, via the matrix trace form (char 0)."""
     endos = hom_space(m, m)
-    k = len(endos)
-    if k == 0:
+    if not endos:
         return False
-    gram = []
-    for x in endos:
-        row = []
-        for y in endos:
-            prod = mat_mul([list(r) for r in x.matrix], [list(r) for r in y.matrix])
-            row.append(sum(prod[i][i] for i in range(m.dim)))
-        gram.append(row)
-    nullity = k - rank(gram)
-    return k - nullity == 1
+    # tr(XY) = Σ X[r][c]·Y[c][r]
+    entries = [
+        [(r, c, x) for r, row in enumerate(e.matrix) for c, x in enumerate(row) if x]
+        for e in endos
+    ]
+    gram = [[sum(x * y.matrix[c][r] for r, c, x in ex) for y in endos] for ex in entries]
+    return rank(gram) == 1
 
 
-def decompose_against(m: Bimodule, candidates: list[Bimodule]) -> dict[int, int]:
-    """Multiplicities of each candidate in M via the hom-count Gram system.
-
-    Requires every candidate to have a local endomorphism ring; succeeds
-    only when the square system has a unique solution of nonnegative
-    integers whose dimension count matches dim M exactly.
-    """
+def _candidate_gram(candidates: list[Bimodule]) -> list[list[Fraction]]:
+    """Check that every candidate has a local endomorphism ring; their Gram matrix."""
     if not candidates:
         raise DecompositionError("empty candidate list")
     for i, c in enumerate(candidates):
@@ -479,8 +590,13 @@ def decompose_against(m: Bimodule, candidates: list[Bimodule]) -> dict[int, int]
             raise DecompositionError(
                 f"candidate {i} ({c.name}) does not have a local endomorphism ring"
             )
-    gram = [[Fraction(hom_dim(ci, cj)) for cj in candidates] for ci in candidates]
-    rhs = [Fraction(hom_dim(ci, m)) for ci in candidates]
+    return [[Fraction(hom_dim(ci, cj)) for cj in candidates] for ci in candidates]
+
+
+def _decompose(m: Bimodule, candidates: list[Bimodule],
+               gram: list[list[Fraction]]) -> dict[int, int]:
+    columns = _action_columns(m)
+    rhs = [Fraction(_hom_dim(ci, m, columns)) for ci in candidates]
     sol = solve_unique(gram, rhs)
     if sol is None:
         raise DecompositionError(
@@ -501,6 +617,16 @@ def decompose_against(m: Bimodule, candidates: list[Bimodule]) -> dict[int, int]
             "the candidate list is incomplete"
         )
     return mults
+
+
+def decompose_against(m: Bimodule, candidates: list[Bimodule]) -> dict[int, int]:
+    """Multiplicities of each candidate in M via the hom-count Gram system.
+
+    Requires every candidate to have a local endomorphism ring; succeeds
+    only when the square system has a unique solution of nonnegative
+    integers whose dimension count matches dim M exactly.
+    """
+    return _decompose(m, candidates, _candidate_gram(candidates))
 
 
 def corner_dim(m: Bimodule, f: list[Fraction], e: list[Fraction]) -> int:
@@ -651,13 +777,15 @@ def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) ->
     as the closed-formula constructor, so the two can be compared for
     literal equality; that equality is this module's central oracle.
     """
-    for a in algebras:
+    identities: dict[int, Bimodule] = {}
+    for t, a in enumerate(algebras):
         a.check()
+        identities[t] = ident = identity_bimodule(a)
         k = len(a.idempotents)
         for fi in range(k):
             for ei in range(k):
-                forward = corner_dim(identity_bimodule(a), a.idempotents[fi], a.idempotents[ei])
-                backward = corner_dim(identity_bimodule(a), a.idempotents[ei], a.idempotents[fi])
+                forward = corner_dim(ident, a.idempotents[fi], a.idempotents[ei])
+                backward = corner_dim(ident, a.idempotents[ei], a.idempotents[fi])
                 if forward != backward:
                     raise ValueError(
                         f"algebra {a.name}: pairing of idempotents {fi}, {ei} is "
@@ -691,7 +819,6 @@ def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) ->
                 vertex_local[eg],
                 name=plabel(fg, eg),
             )
-    identities = {t: identity_bimodule(a) for t, a in enumerate(algebras)}
 
     # candidate summand lists per (target component, source component)
     candidates: dict[tuple[int, int], list[tuple[str, Bimodule]]] = {}
@@ -724,6 +851,9 @@ def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) ->
         for eg in range(nv):
             star[plabel(fg, eg)] = plabel(eg, fg)
 
+    # the locality checks and the Gram matrix of a candidate list are
+    # computed once, the first time a product needs that list
+    grams: dict[tuple[int, int], list[list[Fraction]]] = {}
     table: dict[tuple[str, str], dict[str, int]] = {}
     for fg in range(nv):
         for eg in range(nv):
@@ -737,8 +867,12 @@ def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) ->
                     product = tensor_over(
                         projectives[(fg, eg)], projectives[(fg2, eg2)], max_dim=max_dim
                     )
-                    cand = candidates[(vertex_comp[fg], vertex_comp[eg2])]
-                    mults = decompose_against(product, [b for (_, b) in cand])
+                    key = (vertex_comp[fg], vertex_comp[eg2])
+                    cand = candidates[key]
+                    summands = [b for (_, b) in cand]
+                    if key not in grams:
+                        grams[key] = _candidate_gram(summands)
+                    mults = _decompose(product, summands, grams[key])
                     out = {
                         cand[i][0]: mult for i, mult in sorted(mults.items()) if mult
                     }

@@ -18,7 +18,9 @@ stored as its Hasse diagram (the covering pairs).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .model import MorphId, MultiCat, NotComposableError
 
@@ -50,12 +52,14 @@ class CellPartition:
     deterministic.  ``order_edges`` is the transitive reduction of the
     cell order; ``(a, b)`` means class a lies strictly below class b
     (members of b are reachable from members of a).  ``closure`` is the
-    full reflexive-transitive relation as a set of pairs.
+    full reflexive-transitive relation as a set of pairs.  ``class_of``
+    is a read-only mapping: a partition is cached on its table and
+    shared by every caller.
     """
 
     kind: str
     classes: tuple[frozenset[int], ...]
-    class_of: dict[int, int]
+    class_of: Mapping[int, int]
     order_edges: tuple[tuple[int, int], ...]
     closure: frozenset[tuple[int, int]] = field(repr=False)
 
@@ -162,7 +166,7 @@ def cells(cat: MultiCat, kind: str) -> CellPartition:
     part = CellPartition(
         kind=kind,
         classes=tuple(classes),
-        class_of=class_of,
+        class_of=MappingProxyType(class_of),
         order_edges=tuple(sorted(covers)),
         closure=frozenset((a, b) for a, bs in enumerate(above) for b in (a, *bs)),
     )
@@ -287,7 +291,8 @@ def comp_mult_principal(cat: MultiCat, f: MorphId, g: MorphId, h: MorphId) -> in
     """Composition multiplicity of the simple of h in f applied to the simple of g.
 
     Equals the multiplicity of g in star(f)∘h.  A nonzero value forces
-    h <=_R g; asserted (it holds by construction of the right order).
+    h <=_R g (it holds by construction of the right order); a violation
+    raises ValueError.
     """
     if f.src.index != g.tgt.index or f.tgt.index != h.tgt.index or h.src.index != g.src.index:
         raise NotComposableError(
@@ -295,6 +300,6 @@ def comp_mult_principal(cat: MultiCat, f: MorphId, g: MorphId, h: MorphId) -> in
             "action triple: need src(f)=tgt(g), tgt(f)=tgt(h), src(h)=src(g)"
         )
     mult = cat.compose_idx(cat.star(f).index, h.index).get(g.index, 0)
-    if mult:
-        assert leq_R(cat, h, g), "nonzero multiplicity must force h <=_R g"
+    if mult and not leq_R(cat, h, g):
+        raise ValueError(f"nonzero multiplicity must force {h.label} <=_R {g.label}")
     return mult

@@ -65,15 +65,15 @@ def kl_polynomial(n: int, x: Permutation, w: Permutation) -> LaurentPoly:
     """The polynomial P_{x,w} for S_n, as a polynomial in q.
 
     Zero when x is not Bruhat-below w; otherwise constant term 1 and
-    degree at most (l(w) - l(x) - 1)/2 for x < w (asserted).
+    degree at most (l(w) - l(x) - 1)/2 for x < w; a violation raises
+    ArithmeticError, since it could only be an arithmetic bug.
     """
     if x.n != n or w.n != n:
         raise ValueError("permutation size does not match n")
     p = _kl(n, x.one_line, w.one_line)
     if x.one_line != w.one_line and p:
-        assert 2 * p.max_exp() <= w.length() - x.length() - 1, (
-            f"degree bound violated for P({x.one_line},{w.one_line})"
-        )
+        if 2 * p.max_exp() > w.length() - x.length() - 1:
+            raise ArithmeticError(f"degree bound violated for P({x.one_line},{w.one_line})")
     return p
 
 
@@ -241,11 +241,13 @@ def canonical_basis_by_bar_invariance(n: int) -> dict[PermKey, Vector]:
                 continue
             correction = c.nonpositive_part_symmetrized()
             _vec_sub_scaled(cand, correction, basis[x])
-        assert cand.get(w.one_line) == LaurentPoly.one(), "candidate is not unitriangular"
+        if cand.get(w.one_line) != LaurentPoly.one():
+            raise ArithmeticError(f"candidate for {w.one_line} is not unitriangular")
         for x, c in cand.items():
-            if x != w.one_line:
-                assert c.only_positive_exps(), f"coefficient at {x} not in vZ[v]"
-        assert bar_vector(n, cand) == cand, f"candidate for {w.one_line} not bar-invariant"
+            if x != w.one_line and not c.only_positive_exps():
+                raise ArithmeticError(f"coefficient at {x} not in vZ[v]")
+        if bar_vector(n, cand) != cand:
+            raise ArithmeticError(f"candidate for {w.one_line} not bar-invariant")
         basis[w.one_line] = cand
     return basis
 
@@ -259,8 +261,8 @@ def kl_structure_constants(n: int) -> dict[tuple[PermKey, PermKey], Vector]:
     """All products b_x b_y expanded in the canonical basis.
 
     The value at (x, y) maps z to the Laurent polynomial h_{x,y,z}; all
-    coefficients are nonnegative (positivity in type A), which is
-    asserted because a violation here could only be an arithmetic bug.
+    coefficients are nonnegative (positivity in type A); a violation
+    raises ArithmeticError, since it could only be an arithmetic bug.
     """
     basis = canonical_basis(n)
     group = _group(n)
@@ -287,10 +289,12 @@ def kl_structure_constants(n: int) -> dict[tuple[PermKey, PermKey], Vector]:
                     continue
                 coeffs[z] = c
                 _vec_sub_scaled(prod, c, basis[z])
-            assert not prod, "product failed to resolve in the canonical basis"
+            if prod:
+                raise ArithmeticError("product failed to resolve in the canonical basis")
             for z, c in coeffs.items():
-                assert all(v >= 0 for v in c.coeffs.values()), (
-                    f"negative structure constant at ({x.one_line},{y.one_line},{z})"
-                )
+                if any(v < 0 for v in c.coeffs.values()):
+                    raise ArithmeticError(
+                        f"negative structure constant at ({x.one_line},{y.one_line},{z})"
+                    )
             out[(x.one_line, y.one_line)] = coeffs
     return out

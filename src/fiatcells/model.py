@@ -143,13 +143,22 @@ class MultiCat:
         for m in morphs:
             if m.is_identity:
                 self._identity_of[m.src.index] = m
-        # derived data, each computed on first use: the kernel's index
-        # arrays, the preorder closures and cell partitions by kind, and
-        # the cell analysis
-        self._compiled: _Compiled | None = None
+        # derived data, each computed on first use: the preorder closures
+        # and cell partitions by kind, the kernel's index arrays and the
+        # cell analysis; _analysis is bound last (see __setattr__)
         self._closures: dict[str, dict[int, frozenset[int]]] = {}
         self._partitions: dict[str, CellPartition] = {}
+        self._compiled: _Compiled | None = None
         self._analysis: CellAnalysis | None = None
+
+    def __setattr__(self, name: str, value) -> None:
+        # every attribute is bound in __init__; the caches are filled by _derived
+        if hasattr(self, "_analysis"):
+            raise AttributeError(f"MultiCat is read-only; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"MultiCat is read-only; cannot delete {name!r}")
 
     # -- lookups ---------------------------------------------------------
 
@@ -188,13 +197,19 @@ class MultiCat:
     def compose(self, g: MorphId, f: MorphId) -> dict[MorphId, int]:
         return {self.morphs[k]: c for k, c in self.compose_idx(g.index, f.index).items()}
 
+    def _derived(self, name: str, build):
+        """The cache ``name``, filled with ``build(self)`` on first use."""
+        value = getattr(self, name)
+        if value is None:
+            value = build(self)
+            object.__setattr__(self, name, value)
+        return value
+
     def _compiled_form(self) -> _Compiled:
         """The index-array form the associativity kernel reads, built once."""
-        if self._compiled is None:
-            from ._kernel import _compile  # numpy loads with the first validation
+        from ._kernel import _compile  # numpy loads with the first validation
 
-            self._compiled = _compile(self)
-        return self._compiled
+        return self._derived("_compiled", _compile)
 
     def __reduce__(self):
         # read-only mappings do not pickle; a copy rebuilds them and its caches

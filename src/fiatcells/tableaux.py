@@ -80,7 +80,8 @@ def robinson_schensted(w: Permutation) -> TableauPair:
         if i == len(q_rows):
             q_rows.append([])
         q_rows[i].append(step)
-        assert len(q_rows[i]) - 1 == j
+        if len(q_rows[i]) - 1 != j:
+            raise ValueError(f"insertion of {value} ended at ({i}, {j}), off the shape")
     return TableauPair(
         p=tuple(tuple(r) for r in p_rows),
         q=tuple(tuple(r) for r in q_rows),

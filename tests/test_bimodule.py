@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from fiatcells import (
     verify_dual_numbers_quiver,
 )
 from fiatcells.bimodule import DimensionCapError, corner_dim, end_is_local, hom_dim
+from fiatcells.linalg import mat_mul
 
 from conftest import FIXTURES
 
@@ -234,3 +236,81 @@ def test_load_algebras_fixture():
     algebras = load_algebras(FIXTURES / "algebras_qd.json")
     assert [a.name for a in algebras] == ["Q", "D"]
     assert realize_CA(algebras) == make_CA([[1]], [[2]])
+
+
+# ---------------------------------------------------------------------------
+# larger algebras, and hom by generator against the intertwining kernel
+
+LARGER_ALGEBRAS = {
+    "algebra_x3.json": (((3,),),),
+    "algebra_x4.json": (((4,),),),
+    "algebra_x5.json": (((5,),),),
+    "algebra_zigzag2.json": (((2, 1), (1, 2)),),
+    "algebra_zigzag3.json": (((2, 1, 0), (1, 2, 1), (0, 1, 2)),),
+}
+
+
+@pytest.mark.parametrize("fixture, cartan", LARGER_ALGEBRAS.items())
+def test_realize_ca_on_larger_algebras(fixture, cartan):
+    algebras = load_algebras(FIXTURES / fixture)
+    assert cartan_of(algebras).components == cartan
+    assert realize_CA(algebras) == make_CA(cartan_of(algebras))
+
+
+def _intertwines(bm) -> bool:
+    x = [list(r) for r in bm.matrix]
+    return all(
+        mat_mul(x, am) == mat_mul(an, x)
+        for am, an in zip(bm.source.left_action + bm.source.right_action,
+                          bm.target.left_action + bm.target.right_action)
+    )
+
+
+def _hom_by_kernel(m, n):
+    """The reference: the kernel of the full intertwining system."""
+    return hom_space(dataclasses.replace(m, generator=None), n)
+
+
+def _generator_case(name):
+    """Projective and identity sources; targets adding some tensor products."""
+    d = dual_numbers()
+    if name == "quiver":  # F = D⊗D, the identity D, and F⊗F
+        f = projective_bimodule(d, 0, d, 0, name="D⊗D")
+        return [f, identity_bimodule(d)], [f, identity_bimodule(d), tensor_over(f, f)]
+    a = d if name == "D" else load_algebras(FIXTURES / name)[0]
+    k = len(a.idempotents)
+    proj = [projective_bimodule(a, f, a, e) for f in range(k) for e in range(k)]
+    sources = proj + [identity_bimodule(a)]
+    return sources, sources + [tensor_over(p, q) for p in proj[:2] for q in proj[-2:]]
+
+
+@pytest.mark.parametrize("name", ["D", "algebra_x3.json", "algebra_zigzag2.json", "quiver"])
+def test_hom_by_generator_matches_intertwining_kernel(name):
+    sources, targets = _generator_case(name)
+    for m in sources:
+        assert m.generator is not None
+        for n in targets:
+            fast, slow = hom_space(m, n), _hom_by_kernel(m, n)
+            # the same basis, hence the same dimension and the same span
+            assert [b.matrix for b in fast] == [b.matrix for b in slow], (m.name, n.name)
+            assert hom_dim(m, n) == len(slow)
+            assert all(b.source is m and b.target is n for b in fast)
+            assert all(_intertwines(b) for b in fast), (m.name, n.name)
+
+
+def test_hom_from_projective_is_corner():
+    z2 = load_algebras(FIXTURES / "algebra_zigzag2.json")[0]
+    idem = z2.idempotents
+    proj = {(f, e): projective_bimodule(z2, f, z2, e) for f in range(2) for e in range(2)}
+    targets = list(proj.values()) + [identity_bimodule(z2), tensor_over(proj[0, 1], proj[1, 0])]
+    for (f, e), p in proj.items():
+        for n in targets:
+            assert hom_dim(p, n) == corner_dim(n, idem[f], idem[e])
+
+
+def test_generator_takes_no_part_in_equality(D):
+    f = projective_bimodule(D, 0, D, 0)
+    plain = dataclasses.replace(f, generator=None)
+    assert plain == f
+    assert repr(plain) == repr(f)
+    assert "generator" not in repr(f)

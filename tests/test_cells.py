@@ -172,6 +172,18 @@ def test_comp_mult_principal(s2, sl2):
         comp_mult_principal(sl2, th_on, th_on, th)
 
 
+def test_cached_partition_is_read_only():
+    from fiatcells import make_sl2_singular
+
+    sl2 = make_sl2_singular()
+    part = cells(sl2, "two-sided")
+    before = dict(part.class_of)
+    with pytest.raises(TypeError):
+        part.class_of[0] = 99
+    assert cells(sl2, "two-sided") is part
+    assert dict(cells(sl2, "two-sided").class_of) == before
+
+
 def test_bad_kind_rejected(s2):
     with pytest.raises(ValueError, match="kind"):
         cells(s2, "sideways")

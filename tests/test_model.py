@@ -280,6 +280,23 @@ def test_cached_verdict_cannot_go_stale():
     assert not validate(load_multicat(three_morph_doc(3, 2))).ok
 
 
+def test_multicat_attributes_cannot_be_rebound():
+    # rebinding table to a non-associative one must not leave a "valid"
+    # verdict read off the private entries the kernel uses
+    cat = load_multicat(three_morph_doc(2, 2))
+    bad = load_multicat(three_morph_doc(3, 2))
+    assert validate(cat).ok
+    for name in ("table", "morphs", "objects", "star_map", "_entries", "_compiled",
+                 "_analysis", "_partitions", "new_attribute"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(cat, name, getattr(bad, name, None))
+    with pytest.raises(AttributeError, match="read-only"):
+        del cat.table
+    assert cat.table is not bad.table
+    assert validate(cat).ok
+    assert not validate(bad).ok
+
+
 def test_cli_import_skips_numpy_and_networkx():
     import fiatcells
 
