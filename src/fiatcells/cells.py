@@ -107,8 +107,12 @@ def _edges(cat: MultiCat, kind: str) -> dict[int, set[int]]:
     return adj
 
 
-def preorder_closure(cat: MultiCat, kind: str) -> dict[int, frozenset[int]]:
-    """Reachability sets of the preorder graph, memoized on the table."""
+def preorder_closure(cat: MultiCat, kind: str) -> Mapping[int, frozenset[int]]:
+    """Reachability sets of the preorder graph, memoized on the table.
+
+    The result is a read-only mapping: it is cached on the table and
+    shared by every caller, as the partitions of :func:`cells` are.
+    """
     closures = cat._closures
     if kind not in closures:
         if kind not in KINDS:
@@ -123,7 +127,7 @@ def preorder_closure(cat: MultiCat, kind: str) -> dict[int, frozenset[int]]:
                 seen |= new
                 stack += new
             reach[start] = frozenset(seen)
-        closures[kind] = reach
+        closures[kind] = MappingProxyType(reach)
     return closures[kind]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .klbasis import kl_structure_constants
+from .klbasis import kl_structure_constants_at_one
 from .model import MultiCat, build_multicat
 from .permutations import Permutation, all_permutations
 from .tableaux import robinson_schensted
@@ -258,35 +258,27 @@ def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
     """Multiplication table of the canonical basis of S_n at v = 1.
 
     One object; morphs theta_w indexed by permutations, theta_e the
-    identity; star sends theta_w to theta of the inverse.  Structure
-    constants are checked nonnegative at generation time (a negative
-    one would mean an arithmetic bug, and the table would be wrong).
+    identity; star sends theta_w to theta of the inverse.  The structure
+    constants are :func:`fiatcells.klbasis.kl_structure_constants_at_one`:
+    plain integers from the mu-coefficients by the Kazhdan-Lusztig
+    multiplication rule, so no product is expanded over Laurent
+    polynomials.  A negative constant raises ArithmeticError (it would
+    mean an arithmetic bug, and the table would be wrong).
     """
     if not 2 <= n <= max_n:
         raise ValueError(f"n={n} outside the guarded range 2..{max_n}")
     if n in _hecke_cache:
         return _hecke_cache[n]
     group = all_permutations(n)
-    constants = kl_structure_constants(n)
-    morph_specs = [(_theta_label(w), "o", "o", w.is_identity()) for w in group]
-    star = {_theta_label(w): _theta_label(w.inverse()) for w in group}
-    table: dict[tuple[str, str], dict[str, int]] = {}
-    for x in group:
-        if x.is_identity():
-            continue
-        for y in group:
-            if y.is_identity():
-                continue
-            out: dict[str, int] = {}
-            for z, h in constants[(x.one_line, y.one_line)].items():
-                value = h.eval_one()
-                if value < 0:
-                    raise AssertionError(
-                        f"negative structure constant at ({x}, {y}, {z})"
-                    )
-                if value:
-                    out[_theta_label(Permutation(z))] = value
-            table[(_theta_label(x), _theta_label(y))] = out
+    label = {w.one_line: _theta_label(w) for w in group}
+    e = group[0].one_line
+    morph_specs = [(label[w.one_line], "o", "o", w.is_identity()) for w in group]
+    star = {label[w.one_line]: label[w.inverse().one_line] for w in group}
+    table = {
+        (label[x], label[y]): {label[z]: c for z, c in col.items()}
+        for (x, y), col in kl_structure_constants_at_one(n).items()
+        if x != e and y != e
+    }
     cat = build_multicat(["o"], morph_specs, star, table)
     _hecke_cache[n] = cat
     return cat

@@ -20,8 +20,14 @@ Two independent routes are implemented:
   unitriangularity and the positive-degree condition by direct
   computation in the algebra.
 
-The second route certifies the first in the test suite; production
-structure constants come from :func:`kl_structure_constants`.
+The second route certifies the first in the test suite.
+
+Structure constants come two ways.  :func:`kl_structure_constants`
+expands every product b_x b_y in the canonical basis over Laurent
+polynomials; it is the slow graded reference.  Tables are built from
+:func:`kl_structure_constants_at_one`, which needs the values at v = 1
+only and gets them from the mu-coefficients by the Kazhdan-Lusztig
+multiplication rule, in plain integers.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "canonical_basis",
     "canonical_basis_by_bar_invariance",
     "kl_structure_constants",
+    "kl_structure_constants_at_one",
 ]
 
 PermKey = tuple[int, ...]
@@ -98,7 +105,7 @@ def _kl(n: int, x: PermKey, w: PermKey) -> LaurentPoly:
             continue
         if z.left_mul_simple(s).length() > z.length():
             continue
-        m = mu_coefficient(n, z, Permutation(sw))
+        m = _mu(n, zk, sw)
         if m:
             power = (_length(w) - _length(zk)) // 2
             result = result - LaurentPoly({power: m}) * _kl(n, x, zk)
@@ -112,10 +119,80 @@ def _bruhat(x: PermKey, w: PermKey) -> bool:
 
 def mu_coefficient(n: int, z: Permutation, y: Permutation) -> int:
     """Coefficient of q^((l(y)-l(z)-1)/2) in P_{z,y}; zero unless the gap is odd."""
-    gap = y.length() - z.length()
+    return _mu(n, z.one_line, y.one_line)
+
+
+def _mu(n: int, z: PermKey, y: PermKey) -> int:
+    gap = _length(y) - _length(z)
     if gap <= 0 or gap % 2 == 0:
         return 0
-    return _kl(n, z.one_line, y.one_line).coeff((gap - 1) // 2)
+    return _kl(n, z, y).coeff((gap - 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def kl_structure_constants_at_one(n: int) -> dict[tuple[PermKey, PermKey], dict[PermKey, int]]:
+    """All products b_x b_y at v = 1, from the mu-coefficients alone.
+
+    In Soergel's normalisation b_s = H_s + v, and at v = 1
+
+        b_s b_w = 2 b_w                                  if sw < w,
+        b_s b_w = b_sw + sum_{z<w, sz<z} mu(z,w) b_z     otherwise.
+
+    With s the first left descent of x and u = sx, the second case for
+    b_s b_u solves for b_x, so
+
+        b_x b_y = b_s (b_u b_y) - sum_{z<u, sz<z} mu(z,u) b_z b_y
+
+    builds the products with x from products with shorter x, in Python
+    ints.  The value at (x, y) maps z to h_{x,y,z}(1), the value at v = 1
+    of :func:`kl_structure_constants`; zeros are dropped.  A negative
+    entry raises ArithmeticError: positivity holds in type A, so it
+    could only be an arithmetic bug.
+    """
+    group = _group(n)
+    keys = [w.one_line for w in group]
+    index = {k: i for i, k in enumerate(keys)}
+    length = [_length(k) for k in keys]
+    # s_i w for every generator i and every w, by index
+    left = {s: [index[w.left_mul_simple(s).one_line] for w in group] for s in range(1, n)}
+    mu = [[(j, m) for j in range(i) if (m := _mu(n, keys[j], keys[i]))] for i in range(len(keys))]
+    # act[s][w]: b_s b_w as (z, coefficient) pairs, the rule above
+    act = {
+        s: [
+            [(w, 2)] if length[sw[w]] < length[w]
+            else [(sw[w], 1)] + [(z, m) for z, m in mu[w] if length[sw[z]] < length[z]]
+            for w in range(len(keys))
+        ]
+        for s, sw in left.items()
+    }
+    cols: list[list[dict[int, int]]] = [[{y: 1} for y in range(len(keys))]]  # b_e b_y = b_y
+    for x in range(1, len(keys)):
+        s = group[x].left_descents()[0]
+        u = left[s][x]
+        bs = act[s]
+        # b_s b_u = b_x + (the rest of act[s][u]), so the rest is subtracted
+        rest = bs[u][1:]
+        col_x = []
+        for y, bu_by in enumerate(cols[u]):
+            col: dict[int, int] = {}
+            for w, a in bu_by.items():
+                for z, c in bs[w]:
+                    col[z] = col.get(z, 0) + a * c
+            for z, m in rest:
+                for w, a in cols[z][y].items():
+                    col[w] = col.get(w, 0) - m * a
+            for z, c in col.items():
+                if c < 0:
+                    raise ArithmeticError(
+                        f"negative structure constant at ({keys[x]},{keys[y]},{keys[z]})"
+                    )
+            col_x.append({z: c for z, c in col.items() if c})
+        cols.append(col_x)
+    return {
+        (keys[x], keys[y]): {keys[z]: c for z, c in col.items()}
+        for x, col_x in enumerate(cols)
+        for y, col in enumerate(col_x)
+    }
 
 
 # ---------------------------------------------------------------------------

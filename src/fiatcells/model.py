@@ -146,7 +146,7 @@ class MultiCat:
         # derived data, each computed on first use: the preorder closures
         # and cell partitions by kind, the kernel's index arrays and the
         # cell analysis; _analysis is bound last (see __setattr__)
-        self._closures: dict[str, dict[int, frozenset[int]]] = {}
+        self._closures: dict[str, MappingProxyType[int, frozenset[int]]] = {}
         self._partitions: dict[str, CellPartition] = {}
         self._compiled: _Compiled | None = None
         self._analysis: CellAnalysis | None = None

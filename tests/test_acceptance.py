@@ -173,26 +173,29 @@ def test_criterion_4_bimodule_oracle(capsys):
         verdict(4, "bimodule-oracle", ok, f"{elapsed:.2f}s")
 
 
-def _hecke_criterion_for(n: int, time_budget: float) -> tuple[bool, float]:
-    import math
-
+def _clear_hecke_caches() -> None:
+    """Forget every Hecke table and KL memo, so the next make_hecke is cold."""
     from fiatcells import klbasis
-    from fiatcells.klbasis import (
-        canonical_basis,
-        canonical_basis_by_bar_invariance,
-        kl_structure_constants,
-    )
 
     clear_hecke_cache()
     for cached in (
-        kl_structure_constants,
-        canonical_basis,
-        canonical_basis_by_bar_invariance,
+        klbasis.kl_structure_constants,
+        klbasis.kl_structure_constants_at_one,
+        klbasis.canonical_basis,
+        klbasis.canonical_basis_by_bar_invariance,
         klbasis._kl,
         klbasis._bruhat,
         klbasis._bar_of_standard,
     ):
         cached.cache_clear()
+
+
+def _hecke_criterion_for(n: int, time_budget: float) -> tuple[bool, float]:
+    import math
+
+    from fiatcells.klbasis import canonical_basis, canonical_basis_by_bar_invariance
+
+    _clear_hecke_caches()
     start = time.perf_counter()
     cat = make_hecke(n)
     ok = validate(cat).ok
@@ -223,6 +226,24 @@ def test_criterion_5_hecke_pipeline(capsys):
     ok4, t4 = _hecke_criterion_for(4, 60.0)
     with capsys.disabled():
         verdict(5, "hecke-pipeline", ok3 and ok4, f"n=3 {t3:.2f}s, n=4 {t4:.2f}s")
+
+
+def test_hecke5_pipeline_from_cold():
+    # S5: 120 morphs, 7 two-sided cells (one per partition of 5), 26 right
+    # cells (one per standard tableau), b_w0 b_w0 = 5! b_w0 at v = 1
+    _clear_hecke_caches()
+    cat = make_hecke(5)
+    assert validate(cat).ok
+    assert fiat_lint(cat).ok
+    ts = cells(cat, "two-sided")
+    assert len(ts.classes) == 7
+    assert all(classify_two_sided(cat, q).strongly_regular for q in range(7))
+    report = rs_cell_check(5)
+    assert report.n_right_cells == report.n_standard_tableaux == 26
+    convention = json.loads((GOLDEN / "rs_convention.json").read_text())
+    assert (convention["right_cells"], convention["left_cells"]) in report.assignments
+    w0 = cat.morph("theta_54321")
+    assert m_coeff(cat, w0, w0) == (w0, 120)
 
 
 def test_criterion_6_cartan_blocks_agree_across_right_cells(capsys):

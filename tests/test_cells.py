@@ -184,6 +184,19 @@ def test_cached_partition_is_read_only():
     assert dict(cells(sl2, "two-sided").class_of) == before
 
 
+def test_cached_closure_is_read_only():
+    from fiatcells import make_sl2_singular
+
+    sl2 = make_sl2_singular()
+    one, theta = sl2.morph("1_i"), sl2.morph("theta")
+    assert leq_R(sl2, one, theta)
+    reach = preorder_closure(sl2, "right")
+    with pytest.raises(TypeError):
+        reach[one.index] = frozenset([one.index])
+    assert preorder_closure(sl2, "right") is reach
+    assert leq_R(sl2, one, theta)
+
+
 def test_bad_kind_rejected(s2):
     with pytest.raises(ValueError, match="kind"):
         cells(s2, "sideways")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -30,6 +31,23 @@ def test_gen_is_byte_stable(capsys):
     code1, out1, _ = invoke(capsys, "gen", "hecke", "--n", "3")
     code2, out2, _ = invoke(capsys, "gen", "hecke", "--n", "3")
     assert code1 == code2 == 0 and out1 == out2
+
+
+# sha256 of `fiatcells gen hecke --n N`; the n = 5 text is the stored
+# benchmark table bench/data/hecke5.json.gz, uncompressed
+HECKE_TABLE_SHA256 = {
+    2: "47e934ae9d2c70d1fbbe8413ebb8e4e538caacfd87afb1478a57dc6b4a6e6969",
+    3: "ff5314c71850e517bf214291190e7bf318ccde101999b504ed3d62dd056f52cd",
+    4: "ee7d707ea73eff3e60706f33cbfadde6eef4a8e25e73b280313b5627ddcc952c",
+    5: "22ff2d38993097d6f6d385de94f3d8b02eba3ff344afb4051a60e8a9b97a8c3e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(HECKE_TABLE_SHA256))
+def test_gen_hecke_bytes_are_pinned(capsys, n):
+    code, out, err = invoke(capsys, "gen", "hecke", "--n", str(n))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HECKE_TABLE_SHA256[n]
 
 
 def test_lint_text_golden(capsys):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -111,6 +115,63 @@ def test_make_hecke_guard():
     with pytest.raises(ValueError):
         make_hecke(6)
     make_hecke(4, max_n=4)
+
+
+# mu(s2, s1 s2) = 1 enters b_s2 b_{s1 s2} = b_{s2 s1 s2} + b_s2; setting it
+# to -1 makes that product negative, which only an arithmetic bug could do
+_MU_PAIR = ((1, 3, 2), (2, 3, 1))
+
+
+def _package_env() -> dict:
+    import fiatcells
+
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(fiatcells.__file__).parents[1]))
+
+
+def test_make_hecke_raises_on_a_negative_constant(monkeypatch):
+    from fiatcells import constructors, klbasis
+
+    klbasis.kl_structure_constants_at_one(3)  # the KL memo keeps true values
+    true_mu = klbasis._mu
+    monkeypatch.setattr(klbasis, "_mu",
+                        lambda n, z, y: -1 if (z, y) == _MU_PAIR else true_mu(n, z, y))
+    monkeypatch.setattr(constructors, "_hecke_cache", {})
+    klbasis.kl_structure_constants_at_one.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="negative structure constant"):
+            make_hecke(3)
+    finally:
+        klbasis.kl_structure_constants_at_one.cache_clear()
+
+
+def test_make_hecke_raises_on_a_negative_constant_under_python_O():
+    code = (
+        "from fiatcells import klbasis, make_hecke\n"
+        f"_MU_PAIR = {_MU_PAIR!r}\n"
+        "true_mu = klbasis._mu\n"
+        "klbasis._mu = lambda n, z, y: -1 if (z, y) == _MU_PAIR else true_mu(n, z, y)\n"
+        "try:\n"
+        "    make_hecke(3)\n"
+        "except ArithmeticError as e:\n"
+        "    print('ArithmeticError:', e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ArithmeticError: negative structure constant"), proc.stdout
+
+
+def test_make_hecke_leaves_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "from fiatcells import make_hecke\n"
+        "make_hecke(4)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_make_hecke2_is_s2():

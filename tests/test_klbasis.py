@@ -19,6 +19,7 @@ from fiatcells import (
     kl_polynomial,
     kl_structure_constants,
 )
+from fiatcells.klbasis import kl_structure_constants_at_one
 
 
 def test_bruhat_against_subword_oracle():
@@ -94,6 +95,18 @@ def test_structure_constants_bar_invariant_and_positive():
         for z, h in terms.items():
             assert h.is_bar_invariant(), (x, y, z)
             assert all(c >= 0 for c in h.coeffs.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_constants_are_the_graded_ones_at_one(n):
+    # the multiplication rule in Python ints against the full expansion
+    # of every product over Laurent polynomials, entry for entry
+    graded = kl_structure_constants(n)
+    at_one = kl_structure_constants_at_one(n)
+    assert at_one.keys() == graded.keys()
+    for xy, terms in graded.items():
+        assert at_one[xy] == {z: h.eval_one() for z, h in terms.items()}, xy
+        assert all(type(c) is int and c > 0 for c in at_one[xy].values()), xy
 
 
 def test_s3_products_frozen():
