@@ -6,6 +6,41 @@ functor constructors and an exact bimodule oracle.
 
 __version__ = "0.1.0"
 
+# the bimodule oracle (and the exact linear algebra under it) loads on
+# first use: most callers, and every CLI command but ``bimod``, never need it
+_BIMODULE_NAMES = frozenset({
+    "Algebra",
+    "Bimodule",
+    "BimoduleMap",
+    "DecompositionError",
+    "cartan_of",
+    "decompose_against",
+    "dual_numbers",
+    "hom_space",
+    "identity_bimodule",
+    "load_algebras",
+    "projective_bimodule",
+    "rationals",
+    "realize_CA",
+    "tensor_over",
+    "verify_dual_numbers_quiver",
+})
+
+
+def __getattr__(name: str):
+    if name in _BIMODULE_NAMES:
+        from . import bimodule
+
+        value = getattr(bimodule, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _BIMODULE_NAMES)
+
+
 from .analysis import (
     CartanBlock,
     CheckResult,
@@ -23,23 +58,6 @@ from .analysis import (
     fiat_lint,
     m_coeff,
     m_table,
-)
-from .bimodule import (
-    Algebra,
-    Bimodule,
-    BimoduleMap,
-    DecompositionError,
-    cartan_of,
-    decompose_against,
-    dual_numbers,
-    hom_space,
-    identity_bimodule,
-    load_algebras,
-    projective_bimodule,
-    rationals,
-    realize_CA,
-    tensor_over,
-    verify_dual_numbers_quiver,
 )
 from .cells import (
     CellPartition,
@@ -91,3 +109,6 @@ from .model import (
 from .permutations import Permutation, all_permutations, bruhat_leq
 from .report import report_analyze, render_analyze_text
 from .tableaux import TableauPair, inverse_robinson_schensted, robinson_schensted
+
+# ``from fiatcells import *`` still brings the lazily loaded names
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _BIMODULE_NAMES)

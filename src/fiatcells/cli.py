@@ -17,19 +17,10 @@ import argparse
 import hashlib
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .analysis import fiat_lint
-from .bimodule import (
-    Bimodule,
-    algebra_from_document,
-    hom_space,
-    load_algebras,
-    projective_bimodule,
-    identity_bimodule,
-    realize_CA,
-    verify_dual_numbers_quiver,
-)
 from .cells import KINDS, annihilator_of_simple, cells
 from .constructors import (
     HECKE_DEFAULT_MAX_N,
@@ -51,6 +42,9 @@ from .model import (
 from .permutations import Permutation
 from .report import render_analyze_text, report_analyze
 from .tableaux import robinson_schensted
+
+if TYPE_CHECKING:
+    from .bimodule import Bimodule
 
 __all__ = ["main", "run"]
 
@@ -309,8 +303,10 @@ def _dispatch(args) -> int:
 
 
 def _dispatch_bimod(args) -> int:
+    from . import bimodule  # only the bimod commands load the oracle
+
     if args.bimod_command == "verify-quiver":
-        report = verify_dual_numbers_quiver()
+        report = bimodule.verify_dual_numbers_quiver()
         for name, ok in report.checks.items():
             print(f"{name}: {'PASS' if ok else 'FAIL'}")
         print(
@@ -320,15 +316,15 @@ def _dispatch_bimod(args) -> int:
         return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
     if args.bimod_command == "realize-ca":
-        algebras = load_algebras(args.algebras)
-        cat = realize_CA(algebras, max_dim=args.max_dim)
+        algebras = bimodule.load_algebras(args.algebras)
+        cat = bimodule.realize_CA(algebras, max_dim=args.max_dim)
         sys.stdout.write(serialize_multicat(cat))
         return EXIT_OK
 
     if args.bimod_command == "hom":
         m = _load_bimodule(args.m)
         n = _load_bimodule(args.n)
-        basis = hom_space(m, n)
+        basis = bimodule.hom_space(m, n)
         print(f"dim hom = {len(basis)}")
         for i, bm in enumerate(basis):
             print(f"basis[{i}]:")
@@ -341,6 +337,8 @@ def _dispatch_bimod(args) -> int:
 
 def _load_bimodule(path: str) -> Bimodule:
     """Bimodule document: algebras plus a projective/identity descriptor."""
+    from .bimodule import algebra_from_document, identity_bimodule, projective_bimodule
+
     doc = json.loads(_read_text(path))
     left = algebra_from_document(doc["left"])
     right = left if doc.get("right") in (None, "same") else algebra_from_document(doc["right"])

@@ -469,11 +469,19 @@ def validate(cat: MultiCat) -> ValidationReport:
 
     Associativity is checked on every composable triple, identities
     included, by one sparse kernel over the table compiled into index
-    arrays (once per table), and is exact: its sums are int64 when
-    2·n·max(mult)² < 2^63 proves that none can overflow (n morphisms),
-    and Python ints otherwise.  It runs only when no ``structure``
-    violation was found, and lists violations in sorted (H, G, F)
-    order.
+    arrays (once per table).  For each H and each block of G rows it
+    scatter-adds the products of (H∘G)∘F and subtracts those of
+    H∘(G∘F) into one accumulator, at the slot pair·n + M of each
+    summand M of the pair G∘F (pairs numbered target object by target
+    object, so a block's slots are one range); a slot left non-zero is
+    a violation.  The accumulator is allocated once per call and only
+    the slots a block left non-zero are cleared, so the work follows
+    the number of terms, not the n⁴ slots.  It is exact: a slot holds
+    at most n products of two multiplicities on either side, so sums
+    are int64 when 2·n·max(mult)² < 2^63 proves that none can overflow
+    (n morphisms), and Python ints otherwise.  It runs only when no
+    ``structure`` violation was found, and lists violations in sorted
+    (H, G, F) order.
     """
     report = ValidationReport()
     morphs = cat.morphs

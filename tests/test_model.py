@@ -213,6 +213,45 @@ def test_associativity_kernel_on_perturbed_cartan_tables(seed, bumps):
     assert kernel_associativity(cat) == brute_force_associativity(cat)
 
 
+def bumped(cat, by=1, scale=1):
+    """``cat`` with every stored multiplicity times ``scale``, then one
+    summand of the composite with the most summands raised by ``by``."""
+    doc = multicat_to_document(cat)
+    for entry in doc["compose"]:
+        for term in entry["out"]:
+            term["mult"] *= scale
+    widest = max(doc["compose"], key=lambda e: len(e["out"]))
+    widest["out"][len(widest["out"]) // 2]["mult"] += by
+    return load_multicat(doc)
+
+
+def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
+    from fiatcells import _kernel
+
+    # stored multiplicities times 2^31 keep a table associative (both
+    # sides of a triple are products of two of them) but make the
+    # kernel sum in Python ints; the bump breaks a few triples
+    cartan = make_CA([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[3]])
+    huge = [("cartan*2^31", bumped(cartan, by=0, scale=2**31)),
+            ("cartan*2^31+1", bumped(cartan, scale=2**31))]
+    assert all(cat._compiled_form().c.dtype == object for _, cat in huge)
+    tables = stored_tables() + huge + [
+        ("hecke3+1", bumped(hecke3)),
+        ("hecke4+1", bumped(hecke4)),
+    ]
+    want = {name: brute_force_associativity(cat) for name, cat in tables}
+    assert want["cartan*2^31"] == [] and want["cartan*2^31+1"] and want["hecke4+1"]
+    for budget in (1, 2**30):
+        monkeypatch.setattr(_kernel, "_SLOT_BUDGET", budget)
+        for name, cat in tables:
+            t = cat._compiled_form()
+            runs = [_kernel._blocks(t, gs) for gs in t.into]
+            # budget 1: every g is a block of its own, over budget;
+            # budget 2^30: every target group is one block
+            assert all(len(r) == (len(gs) if budget == 1 else 1) for r, gs in zip(runs, t.into))
+            assert kernel_associativity(cat) == want[name], (name, budget)
+
+
 def test_associativity_is_exact_beyond_int64():
     # (F∘F)∘G = 2^65·G but F∘(F∘G) = 2^66·G, which int64 cannot tell apart
     report = validate(load_multicat(three_morph_doc(2**32, 2**33)))
@@ -303,11 +342,41 @@ def test_cli_import_skips_numpy_and_networkx():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fiatcells.__file__).parents[1]))
     code = (
         "import sys, fiatcells.cli; "
-        "print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'networkx', 'fiatcells.bimodule', 'fiatcells.linalg')"
+        " if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_bimodule_names_resolve_lazily():
+    import fiatcells
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fiatcells.__file__).parents[1]))
+    code = (
+        "import sys, fiatcells\n"
+        "print('fiatcells.bimodule' in sys.modules, 'realize_CA' in dir(fiatcells))\n"
+        "from fiatcells import realize_CA, Bimodule\n"
+        "from fiatcells import bimodule\n"
+        "print(realize_CA is bimodule.realize_CA, Bimodule is bimodule.Bimodule,\n"
+        "      fiatcells.hom_space is bimodule.hom_space)\n"
+        "names = {}\n"
+        "exec('from fiatcells import *', names)\n"
+        "print(names['realize_CA'] is realize_CA, names['validate'] is fiatcells.validate)\n"
+        "try:\n"
+        "    fiatcells.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False True",
+        "True True True",
+        "True True",
+        "module 'fiatcells' has no attribute 'no_such_name'",
+    ]
 
 
 def test_serializer_is_canonical_utf8_lf():
