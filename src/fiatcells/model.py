@@ -422,21 +422,14 @@ def multicat_to_document(cat: MultiCat) -> dict:
         if m.is_identity:
             spec["identity"] = True
         morphisms.append(spec)
-    entries = []
-    for (g, f) in sorted(cat.table):
-        gm, fm = cat.morphs[g], cat.morphs[f]
-        out = cat.table[(g, f)]
-        if gm.is_identity and out == {f: 1}:
-            continue
-        if fm.is_identity and out == {g: 1}:
-            continue
-        entries.append(
-            {
-                "g": gm.label,
-                "f": fm.label,
-                "out": [{"m": cat.morphs[k].label, "mult": out[k]} for k in sorted(out)],
-            }
-        )
+    entries = [
+        {
+            "g": cat.morphs[g].label,
+            "f": cat.morphs[f].label,
+            "out": [{"m": cat.morphs[k].label, "mult": out[k]} for k in sorted(out)],
+        }
+        for g, f, out in _canonical_entries(cat)
+    ]
     return {
         "objects": [o.label for o in cat.objects],
         "morphisms": morphisms,
@@ -445,9 +438,64 @@ def multicat_to_document(cat: MultiCat) -> dict:
     }
 
 
+def _canonical_entries(cat: MultiCat):
+    """(g, f, g∘f) for each stored composite, sorted, unit-law entries left out."""
+    for (g, f) in sorted(cat.table):
+        out = cat.table[(g, f)]
+        if cat.morphs[g].is_identity and out == {f: 1}:
+            continue
+        if cat.morphs[f].is_identity and out == {g: 1}:
+            continue
+        yield g, f, out
+
+
+def _layout(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array or object laid out as ``json.dumps(indent=2)`` lays it
+    out at indent ``pad``, from its members' rendered text."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def serialize_multicat(cat: MultiCat) -> str:
-    """Serialize to the canonical byte-stable JSON text (trailing newline)."""
-    return json.dumps(multicat_to_document(cat), indent=2, ensure_ascii=False) + "\n"
+    """Serialize to the canonical byte-stable JSON text (trailing newline).
+
+    The text is ``json.dumps(multicat_to_document(cat), indent=2,
+    ensure_ascii=False)`` plus the newline, written from the document's
+    fixed layout with the C encoder for each label: with an indent,
+    ``json.dumps`` runs its pure-Python encoder.
+    """
+    text = [json.dumps(m.label, ensure_ascii=False) for m in cat.morphs]
+    objects = [json.dumps(o.label, ensure_ascii=False) for o in cat.objects]
+    morphisms = [
+        _layout(
+            [f'"label": {text[m.index]}', f'"src": {objects[m.src.index]}',
+             f'"tgt": {objects[m.tgt.index]}', *(['"identity": true'] if m.is_identity else [])],
+            "    ", "{}",
+        )
+        for m in cat.morphs
+    ]
+    star = [f"{text[m]}: {text[s]}" for m, s in enumerate(cat.star_map)]
+    compose = [
+        _layout(
+            [f'"g": {text[g]}', f'"f": {text[f]}', '"out": ' + _layout(
+                # each summand's object written out: the hot loop of large tables
+                [f'{{\n          "m": {text[k]},\n          "mult": {out[k]}\n        }}'
+                 for k in sorted(out)],
+                "      ",
+            )],
+            "    ", "{}",
+        )
+        for g, f, out in _canonical_entries(cat)
+    ]
+    document = [
+        f'"objects": {_layout(objects, "  ")}',
+        f'"morphisms": {_layout(morphisms, "  ")}',
+        f'"star": {_layout(star, "  ", "{}")}',
+        f'"compose": {_layout(compose, "  ")}',
+    ]
+    return _layout(document, "", "{}") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +515,22 @@ def validate(cat: MultiCat) -> ValidationReport:
     * ``star-ends``: star swaps src and tgt.
     * ``star-anti-automorphism``: star(G∘F) = star(F)∘star(G) elementwise.
 
-    Associativity is checked on every composable triple, identities
-    included, by one sparse kernel over the table compiled into index
-    arrays (once per table).  For each H and each block of G rows it
-    scatter-adds the products of (H∘G)∘F and subtracts those of
-    H∘(G∘F) into one accumulator, at the slot pair·n + M of each
-    summand M of the pair G∘F (pairs numbered target object by target
-    object, so a block's slots are one range); a slot left non-zero is
-    a violation.  The accumulator is allocated once per call and only
-    the slots a block left non-zero are cleared, so the work follows
-    the number of terms, not the n⁴ slots.  It is exact: a slot holds
-    at most n products of two multiplicities on either side, so sums
-    are int64 when 2·n·max(mult)² < 2^63 proves that none can overflow
-    (n morphisms), and Python ints otherwise.  It runs only when no
+    Associativity is settled for every composable triple, but only the
+    triples that can fail are expanded.  A triple with an identity in it
+    holds by the unit law, which composition applies whatever is stored.
+    When no ``star-*`` law fails, star carries (H∘G)∘F to (F*∘G*)∘H* and
+    H∘(G∘F) to F*∘(G*∘H*), so (H, G, F) fails exactly when (F*, G*, H*)
+    does: only the G with star(G) ≥ G (by index) are read, and each
+    violation found brings its mirror; otherwise every non-identity G is
+    read.  The triples are checked by one sparse scatter-add kernel over
+    the table compiled into index arrays (once per table; see
+    ``fiatcells._kernel``).  It is exact: the multiplicity of a summand
+    on either side is a sum of at most n products of two
+    multiplicities, so sums are int64 when 2·n·max(mult)² < 2^63 proves
+    that none can overflow (n morphisms), and Python ints otherwise.  It runs only when no
     ``structure`` violation was found, and lists violations in sorted
-    (H, G, F) order.
+    (H, G, F) order.  ``star-anti-automorphism`` is checked on the same
+    arrays once star is an involution that swaps ends.
     """
     report = ValidationReport()
     morphs = cat.morphs
@@ -528,7 +577,8 @@ def validate(cat: MultiCat) -> ValidationReport:
 
     _check_star(cat, report)
     if not any(v.law == "structure" for v in report.violations):
-        _check_associativity(cat, report)
+        mirror = not any(v.law.startswith("star-") for v in report.violations)
+        _check_associativity(cat, report, mirror)
     return report
 
 
@@ -555,22 +605,17 @@ def _check_star(cat: MultiCat, report: ValidationReport) -> None:
             )
     if any(v.law in ("star-involution", "star-ends") for v in report.violations):
         return
-    star = cat.star_map
-    for g in range(len(morphs)):
-        for f in range(len(morphs)):
-            if not cat.composable(g, f):
-                continue
-            lhs = {star[k]: c for k, c in cat.compose_idx(g, f).items()}
-            rhs = cat.compose_idx(star[f], star[g])
-            if lhs != rhs:
-                report.violations.append(
-                    Violation(
-                        "star-anti-automorphism",
-                        (morphs[g].label, morphs[f].label),
-                        f"star({morphs[g].label}∘{morphs[f].label}) != "
-                        f"star({morphs[f].label})∘star({morphs[g].label})",
-                    )
-                )
+    from ._kernel import _star_violations
+
+    for g, f in _star_violations(cat._compiled_form()):
+        report.violations.append(
+            Violation(
+                "star-anti-automorphism",
+                (morphs[g].label, morphs[f].label),
+                f"star({morphs[g].label}∘{morphs[f].label}) != "
+                f"star({morphs[f].label})∘star({morphs[g].label})",
+            )
+        )
 
 
 def _triple_sides(cat: MultiCat, h: int, g: int, f: int) -> tuple[dict, dict]:
@@ -585,10 +630,10 @@ def _triple_sides(cat: MultiCat, h: int, g: int, f: int) -> tuple[dict, dict]:
     return lhs, rhs
 
 
-def _check_associativity(cat: MultiCat, report: ValidationReport) -> None:
+def _check_associativity(cat: MultiCat, report: ValidationReport, mirror: bool) -> None:
     from ._kernel import _associativity_violations
 
-    for (h, g, f) in _associativity_violations(cat._compiled_form()):
+    for (h, g, f) in _associativity_violations(cat._compiled_form(), mirror):
         lhs, rhs = _triple_sides(cat, h, g, f)
         report.violations.append(
             Violation(

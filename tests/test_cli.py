@@ -56,6 +56,16 @@ def test_lint_text_golden(capsys):
     assert out == (GOLDEN / "lint_sl2.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["validate", "lint"])
+@pytest.mark.parametrize("fixture", ["badstar", "nonassoc"])
+def test_invalid_table_text_golden(capsys, command, fixture):
+    # badstar breaks the star laws, so the kernel reads every triple;
+    # nonassoc keeps them, so it reads one triple of each mirrored pair
+    code, out, _ = invoke(capsys, command, str(FIXTURES / f"{fixture}.json"))
+    assert code == 2
+    assert out == (GOLDEN / f"{command}_{fixture}.txt").read_text(encoding="utf-8")
+
+
 def test_analyze_text_golden(capsys):
     code, out, _ = invoke(capsys, "analyze", str(GOLDEN / "sl2.json"))
     assert code == 0

@@ -155,10 +155,10 @@ def test_validate_flags_end_mismatch():
     assert "structure" in report.laws()
 
 
-def brute_force_associativity(cat):
-    """Every (h, g, f) with (h∘g)∘f != h∘(g∘f), by a plain triple loop."""
+def brute_force_sides(cat):
+    """(h, g, f, (h∘g)∘f, h∘(g∘f)) for every composable triple that
+    fails, identities included, by a plain triple loop."""
     n = len(cat.morphs)
-    bad = []
     for h in range(n):
         for g in range(n):
             if not cat.composable(h, g):
@@ -174,14 +174,44 @@ def brute_force_associativity(cat):
                     for m, d in cat.compose_idx(h, k).items():
                         rhs[m] = rhs.get(m, 0) + c * d
                 if lhs != rhs:
-                    bad.append((h, g, f))
-    return bad
+                    yield h, g, f, lhs, rhs
 
 
-def kernel_associativity(cat):
+def brute_force_associativity(cat):
+    """Every (h, g, f) with (h∘g)∘f != h∘(g∘f), by a plain triple loop."""
+    return [(h, g, f) for h, g, f, _, _ in brute_force_sides(cat)]
+
+
+def brute_force_violations(cat):
+    """The (witness, detail) validate should report for each failing triple."""
+    def fmt(ms):
+        return " + ".join(f"{c}·{cat.morphs[k].label}" for k, c in sorted(ms.items())) or "0"
+
+    return [
+        (
+            tuple(cat.morphs[x].label for x in (h, g, f)),
+            f"(H∘G)∘F = {fmt(lhs)} but H∘(G∘F) = {fmt(rhs)}",
+        )
+        for h, g, f, lhs, rhs in brute_force_sides(cat)
+    ]
+
+
+def star_holds(cat):
+    """Whether the star laws hold, so that validate runs the mirror path."""
+    from fiatcells.model import ValidationReport, _check_star
+
+    report = ValidationReport()
+    _check_star(cat, report)
+    return report.ok
+
+
+def kernel_associativity(cat, mirror=None):
+    """The kernel's violations, in the mode validate picks unless ``mirror`` is given."""
     from fiatcells import _kernel
 
-    return _kernel._associativity_violations(cat._compiled_form())
+    if mirror is None:
+        mirror = star_holds(cat)
+    return _kernel._associativity_violations(cat._compiled_form(), mirror)
 
 
 def test_associativity_kernel_matches_brute_force(hecke3):
@@ -213,6 +243,62 @@ def test_associativity_kernel_on_perturbed_cartan_tables(seed, bumps):
     assert kernel_associativity(cat) == brute_force_associativity(cat)
 
 
+def star_bumped(cat, bumps):
+    """``cat`` with, for each (entry, term, by) of ``bumps``, summand k of
+    a stored g∘f raised by ``by`` together with summand star(k) of
+    star(f)∘star(g), so that the star laws keep holding."""
+    doc = multicat_to_document(cat)
+    at = {(e["g"], e["f"]): e for e in doc["compose"]}
+    star = doc["star"]
+    for entry, term, by in bumps if doc["compose"] else ():
+        e = doc["compose"][entry % len(doc["compose"])]
+        k = e["out"][term % len(e["out"])]["m"]
+        pairs = {((e["g"], e["f"]), k), ((star[e["f"]], star[e["g"]]), star[k])}
+        for gf, m in pairs:
+            next(t for t in at[gf]["out"] if t["m"] == m)["mult"] += by
+    return load_multicat(doc)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    table=st.sampled_from(["cartan", "hecke3", "hecke4"]),
+    seed=st.integers(0, 2**32 - 1),
+    bumps=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_associativity_mirror_path_on_star_consistent_bumps(
+    hecke3, hecke4, table, seed, bumps
+):
+    if table == "cartan":
+        base = make_CA(random_cartan_data(random.Random(seed), 2, 2, 3))
+    else:
+        base = {"hecke3": hecke3, "hecke4": hecke4}[table]
+    cat = star_bumped(base, bumps)
+    report = validate(cat)
+    # no star law fails, so the kernel read one triple of each mirrored pair
+    assert not any(law.startswith("star-") for law in report.laws())
+    got = [(v.witness, v.detail) for v in report.violations if v.law == "associativity"]
+    assert got == brute_force_violations(cat)
+
+
+def test_associativity_with_broken_star_reads_every_triple(hecke3):
+    # one bump without its mirror breaks star and associativity at once;
+    # the full list must come back, not only one triple of each pair
+    cat = bumped(hecke3)
+    report = validate(cat)
+    assert report.laws() == ["associativity", "star-anti-automorphism"]
+    got = [(v.witness, v.detail) for v in report.violations if v.law == "associativity"]
+    want = brute_force_violations(cat)
+    assert got == want
+    # the mirror of a failing triple need not fail once star is broken
+    star = cat.star_map
+    bad = brute_force_associativity(cat)
+    assert any((star[f], star[g], star[h]) not in bad for h, g, f in bad)
+
+
 def bumped(cat, by=1, scale=1):
     """``cat`` with every stored multiplicity times ``scale``, then one
     summand of the composite with the most summands raised by ``by``."""
@@ -238,18 +324,42 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
     tables = stored_tables() + huge + [
         ("hecke3+1", bumped(hecke3)),
         ("hecke4+1", bumped(hecke4)),
+        ("hecke4+star", star_bumped(hecke4, [(7, 1, 1), (40, 0, 2)])),
+        ("cartan*2^31+star", star_bumped(huge[0][1], [(3, 0, 1)])),
     ]
     want = {name: brute_force_associativity(cat) for name, cat in tables}
     assert want["cartan*2^31"] == [] and want["cartan*2^31+1"] and want["hecke4+1"]
+    assert want["hecke4+star"] and want["cartan*2^31+star"]
+    # the mirror mode is sound only where the star laws hold
+    modes = {name: (False, True) if star_holds(cat) else (False,) for name, cat in tables}
+    assert modes["hecke4+star"] == modes["cartan*2^31+star"] == (False, True)
+    assert modes["hecke4+1"] == (False,)
     for budget in (1, 2**30):
         monkeypatch.setattr(_kernel, "_SLOT_BUDGET", budget)
         for name, cat in tables:
             t = cat._compiled_form()
-            runs = [_kernel._blocks(t, gs) for gs in t.into]
-            # budget 1: every g is a block of its own, over budget;
-            # budget 2^30: every target group is one block
-            assert all(len(r) == (len(gs) if budget == 1 else 1) for r, gs in zip(runs, t.into))
-            assert kernel_associativity(cat) == want[name], (name, budget)
+            for mirror in modes[name]:
+                read = set()
+                for gs, hs in _kernel._rows(t, mirror):
+                    # g rows: a prefix of their target group, which the
+                    # identity closes; neither g nor h is an identity
+                    into = t.into[cat.morphs[int(gs[0])].tgt.index].tolist()
+                    assert gs.tolist() == into[:len(gs)]
+                    assert cat.morphs[into[-1]].is_identity
+                    assert not any(cat.morphs[x].is_identity for x in gs.tolist() + hs)
+                    read |= set(gs.tolist())
+                    # budget 1: every g is a block of its own, over budget;
+                    # budget 2^30: every target group is one block
+                    runs = _kernel._blocks(t, gs)
+                    assert len(runs) == (len(gs) if budget == 1 else 1)
+                # every non-identity g that a non-identity h can follow, or
+                # in the mirror mode those with star(g) >= g
+                assert read == {
+                    g.index for g in cat.morphs
+                    if not g.is_identity and (not mirror or cat.star_map[g.index] >= g.index)
+                    and any(not h.is_identity and h.src == g.tgt for h in cat.morphs)
+                }, (name, mirror)
+                assert kernel_associativity(cat, mirror) == want[name], (name, budget, mirror)
 
 
 def test_associativity_is_exact_beyond_int64():
@@ -385,3 +495,29 @@ def test_serializer_is_canonical_utf8_lf():
     assert text.endswith("\n")
     doc = json.loads(text)
     assert list(doc) == ["objects", "morphisms", "star", "compose"]
+
+
+def test_serializer_writes_what_the_indenting_encoder_writes(hecke3):
+    def indented(cat):
+        return json.dumps(multicat_to_document(cat), indent=2, ensure_ascii=False) + "\n"
+
+    # labels that need escaping, an object with only its identity, a zero
+    # composite, an empty compose list and a multiplicity beyond int64
+    odd = {
+        "objects": ['é"\\\n', "☃"],
+        "morphisms": [
+            {"label": "1\t", "src": 'é"\\\n', "tgt": 'é"\\\n', "identity": True},
+            {"label": "☃1", "src": "☃", "tgt": "☃", "identity": True},
+            {"label": "\ud800Z", "src": "☃", "tgt": "☃"},
+        ],
+        "star": {},
+        "compose": [{"g": "\ud800Z", "f": "\ud800Z", "out": []}],
+    }
+    bare = {"objects": ["i"], "morphisms": [{"label": "1", "src": "i", "tgt": "i", "identity": True}],
+            "star": {}, "compose": []}
+    big = s2_doc()
+    big["compose"][0]["out"][0]["mult"] = 2**200
+    cats = [load_multicat(doc) for doc in (odd, bare, big)]
+    cats += [hecke3, make_sl2_singular(), make_CA(random_cartan_data(random.Random(7)))]
+    for cat in cats:
+        assert serialize_multicat(cat) == indented(cat)
