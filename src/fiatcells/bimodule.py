@@ -2,8 +2,10 @@
 Exact bimodule arithmetic over the rationals: the categorified oracle.
 
 Algebras are given by structure constants with a distinguished list of
-orthogonal primitive idempotents (given, never computed).  Bimodules
-carry explicit left/right action matrices.  Tensor products over the
+orthogonal primitive idempotents (given, never computed).  A bimodule
+stores the action of each basis element of either algebra by sparse
+columns, and every operation reads and builds that form; no action
+matrix is ever dense.  Tensor products over the
 middle algebra are computed as exact cokernels of the balancing map,
 and decompositions into a declared summand list by the hom-count Gram
 method.  This is enough to rebuild the composition tables of the
@@ -36,17 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import (
-    _echelon,
-    _kernel,
-    _reduce_modulo,
-    identity_matrix,
-    mat_mul,
-    rank,
-    rref,
-    solve_unique,
-)
-from .model import MultiCat, build_multicat
+from .linalg import _echelon, _kernel, _reduce_modulo, mat_mul, rank, rref, solve_unique
+from .constructors import CartanData, _projective_skeleton
+from .model import MultiCat, TableFormatError, _expect, _field, build_multicat
 
 __all__ = [
     "Algebra",
@@ -75,8 +69,10 @@ __all__ = [
 
 DEFAULT_DIMENSION_CAP = 4096
 
-Matrix = list[list[Fraction]]
 Vector = tuple[Fraction, ...]
+# one column of an action: the (row, value) pairs of its non-zero
+# entries, rows ascending
+Column = tuple[tuple[int, Fraction], ...]
 
 
 class DecompositionError(ValueError):
@@ -119,26 +115,10 @@ class Algebra:
                         out[k] += x * y * c
         return out
 
-    def left_mult_matrix(self, a: list[Fraction]) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            e = [Fraction(1 if t == j else 0) for t in range(self.dim)]
-            cols.append(self.multiply(a, e))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    def right_mult_matrix(self, a: list[Fraction]) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            e = [Fraction(1 if t == j else 0) for t in range(self.dim)]
-            cols.append(self.multiply(e, a))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
     def check(self) -> None:
         """Associativity, unit law, idempotent axioms; raises on failure."""
         dim = self.dim
-        basis_vecs = [
-            [Fraction(1 if t == i else 0) for t in range(dim)] for i in range(dim)
-        ]
+        basis_vecs = _unit_vectors(dim)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
@@ -183,7 +163,12 @@ class Presentation(NamedTuple):
 
 @dataclass
 class Bimodule:
-    """(left, right)-bimodule with explicit action matrices per basis element.
+    """(left, right)-bimodule, each basis element's action stored by columns.
+
+    ``left_action[i][c]`` is column c of the action of basis element i
+    of the left algebra, so a_i·m_c = Σ value·m_row over its (row, value)
+    pairs; ``right_action[i][c]`` likewise gives m_c·b_i.  Values are
+    exact Fractions and never zero.
 
     ``generator`` is set by the constructors that know a presentation by
     one generator of the bimodule as they build it; hom spaces out of the
@@ -195,59 +180,39 @@ class Bimodule:
     left: Algebra
     right: Algebra
     dim: int
-    left_action: list[Matrix]
-    right_action: list[Matrix]
+    left_action: list[list[Column]]
+    right_action: list[list[Column]]
     generator: Presentation | None = field(default=None, compare=False, repr=False)
-
-    def left_act(self, a: list[Fraction]) -> Matrix:
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, x in enumerate(a):
-            if x:
-                for r in range(self.dim):
-                    row = self.left_action[i][r]
-                    for c in range(self.dim):
-                        if row[c]:
-                            out[r][c] += x * row[c]
-        return out
-
-    def right_act(self, b: list[Fraction]) -> Matrix:
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, x in enumerate(b):
-            if x:
-                for r in range(self.dim):
-                    row = self.right_action[i][r]
-                    for c in range(self.dim):
-                        if row[c]:
-                            out[r][c] += x * row[c]
-        return out
 
     def check(self) -> None:
         """Unitality, action associativity, and commuting actions."""
-        dim_a, dim_b = self.left.dim, self.right.dim
-        if self.left_act(self.left.unit) != identity_matrix(self.dim):
+        left, right = self.left_action, self.right_action
+        units_a, units_b = _unit_vectors(self.left.dim), _unit_vectors(self.right.dim)
+        basis = [{c: 1} for c in range(self.dim)]
+        if any(_act(left, self.left.unit, m) != m for m in basis):
             raise ValueError(f"bimodule {self.name}: left action not unital")
-        if self.right_act(self.right.unit) != identity_matrix(self.dim):
+        if any(_act(right, self.right.unit, m) != m for m in basis):
             raise ValueError(f"bimodule {self.name}: right action not unital")
-        for i in range(dim_a):
-            for j in range(dim_a):
-                prod = self.left_act(self.left.mult[i][j])
-                if mat_mul(self.left_action[i], self.left_action[j]) != prod:
+        for i, x in enumerate(units_a):
+            for j, y in enumerate(units_a):
+                prod = self.left.mult[i][j]
+                if any(_act(left, x, _act(left, y, m)) != _act(left, prod, m) for m in basis):
                     raise ValueError(
                         f"bimodule {self.name}: left action not multiplicative"
                     )
-        for i in range(dim_b):
-            for j in range(dim_b):
-                # m·(e_i e_j) applies e_i then e_j
-                prod = self.right_act(self.right.mult[i][j])
-                if mat_mul(self.right_action[j], self.right_action[i]) != prod:
+        for i, x in enumerate(units_b):
+            for j, y in enumerate(units_b):
+                # m·(b_i b_j) applies b_i then b_j
+                prod = self.right.mult[i][j]
+                if any(_act(right, y, _act(right, x, m)) != _act(right, prod, m)
+                       for m in basis):
                     raise ValueError(
                         f"bimodule {self.name}: right action not multiplicative"
                     )
-        for i in range(dim_a):
-            for j in range(dim_b):
-                if mat_mul(self.left_action[i], self.right_action[j]) != mat_mul(
-                    self.right_action[j], self.left_action[i]
-                ):
+        for x in units_a:
+            for y in units_b:
+                if any(_act(left, x, _act(right, y, m)) != _act(right, y, _act(left, x, m))
+                       for m in basis):
                     raise ValueError(
                         f"bimodule {self.name}: left and right actions do not commute"
                     )
@@ -296,11 +261,32 @@ def dual_numbers(name: str = "D") -> Algebra:
 # bimodule constructors
 
 
+def _unit_vectors(dim: int) -> list[list[Fraction]]:
+    return [[Fraction(1 if t == i else 0) for t in range(dim)] for i in range(dim)]
+
+
+def _column(vec) -> Column:
+    """The non-zero entries of a coordinate vector as a column."""
+    return tuple((r, x) for r, x in enumerate(vec) if x)
+
+
+def _act(actions: list[list[Column]], coeffs, v: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Σ coeffs[i]·actions[i] applied to a sparse vector, without zero entries."""
+    out: dict[int, Fraction] = {}
+    for a, cols in zip(coeffs, actions):
+        if a:
+            for c, x in v.items():
+                ax = a * x
+                for r, y in cols[c]:
+                    out[r] = out.get(r, 0) + ax * y
+    return {r: x for r, x in out.items() if x}
+
+
 def identity_bimodule(a: Algebra) -> Bimodule:
     """A as an A-A-bimodule, generated by 1 subject to a·1 = 1·a."""
-    basis = [tuple(Fraction(1 if t == i else 0) for t in range(a.dim)) for i in range(a.dim)]
-    left = [a.left_mult_matrix(x) for x in basis]
-    right = [a.right_mult_matrix(x) for x in basis]
+    basis = [tuple(x) for x in _unit_vectors(a.dim)]
+    left = [[_column(a.mult[i][c]) for c in range(a.dim)] for i in range(a.dim)]
+    right = [[_column(a.mult[c][i]) for c in range(a.dim)] for i in range(a.dim)]
     unit = tuple(a.unit)
     minus_unit = tuple(-x for x in a.unit)
     generator = Presentation(
@@ -328,41 +314,24 @@ def projective_bimodule(a: Algebra, f_idx: int, b: Algebra, e_idx: int,
     """The bimodule (A·f) ⊗ (e·B) for idempotent indices f of A, e of B."""
     f = a.idempotents[f_idx]
     e = b.idempotents[e_idx]
-    af = _subspace_basis(
-        [a.multiply([Fraction(1 if t == i else 0) for t in range(a.dim)], f)
-         for i in range(a.dim)]
-    )
-    eb = _subspace_basis(
-        [b.multiply(e, [Fraction(1 if t == i else 0) for t in range(b.dim)])
-         for i in range(b.dim)]
-    )
-    dim = len(af) * len(eb)
-
-    def pack(p: int, q: int) -> int:
-        return p * len(eb) + q
-
+    af = _subspace_basis([a.multiply(x, f) for x in _unit_vectors(a.dim)])
+    eb = _subspace_basis([b.multiply(e, y) for y in _unit_vectors(b.dim)])
+    nq = len(eb)
+    # basis element u_p⊗w_q has index p·nq + q; a acts on u, b on w
     left_action = []
-    for i in range(a.dim):
-        ai = [Fraction(1 if t == i else 0) for t in range(a.dim)]
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for p, u in enumerate(af):
-            coords = _coords(af, a.multiply(ai, u))
-            for p2, c in enumerate(coords):
-                if c:
-                    for q in range(len(eb)):
-                        mat[pack(p2, q)][pack(p, q)] = c
-        left_action.append(mat)
+    for x in _unit_vectors(a.dim):
+        images = [_coords(af, a.multiply(x, u)) for u in af]
+        left_action.append([
+            tuple((p2 * nq + q, c) for p2, c in enumerate(images[p]) if c)
+            for p in range(len(af)) for q in range(nq)
+        ])
     right_action = []
-    for i in range(b.dim):
-        bi = [Fraction(1 if t == i else 0) for t in range(b.dim)]
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for q, w in enumerate(eb):
-            coords = _coords(eb, b.multiply(w, bi))
-            for q2, c in enumerate(coords):
-                if c:
-                    for p in range(len(af)):
-                        mat[pack(p, q2)][pack(p, q)] = c
-        right_action.append(mat)
+    for y in _unit_vectors(b.dim):
+        images = [_coords(eb, b.multiply(w, y)) for w in eb]
+        right_action.append([
+            tuple((p * nq + q2, c) for q2, c in enumerate(images[q]) if c)
+            for p in range(len(af)) for q in range(nq)
+        ])
     # generated by g = f⊗e subject to (1 - f)·g = 0 = g·(1 - e), each
     # relation void when the idempotent is 1; the basis element u⊗w is u·g·w
     one_minus_f = tuple(s - t for s, t in zip(a.unit, f))
@@ -377,34 +346,11 @@ def projective_bimodule(a: Algebra, f_idx: int, b: Algebra, e_idx: int,
         basis=tuple((tuple(u), tuple(w)) for u in af for w in eb),
     )
     label = name or f"{a.name}f{f_idx}⊗e{e_idx}{b.name}"
-    return Bimodule(label, a, b, dim, left_action, right_action, generator)
+    return Bimodule(label, a, b, len(af) * nq, left_action, right_action, generator)
 
 
 # ---------------------------------------------------------------------------
 # tensor, hom, decomposition
-
-
-def _columns(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
-    """The non-zero entries (row, value) of each column of a square matrix."""
-    cols: list[list[tuple[int, Fraction]]] = [[] for _ in mat]
-    for r, row in enumerate(mat):
-        for c, x in enumerate(row):
-            if x:
-                cols[c].append((r, x))
-    return cols
-
-
-def _act(actions, coeffs, v: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Σ coeffs[i]·action_i applied to a sparse vector; actions by _columns."""
-    out: dict[int, Fraction] = {}
-    for i, a in enumerate(coeffs):
-        if a:
-            cols = actions[i]
-            for c, x in v.items():
-                ax = a * x
-                for r, y in cols[c]:
-                    out[r] = out.get(r, 0) + ax * y
-    return out
 
 
 def tensor_over(m: Bimodule, n: Bimodule, max_dim: int = DEFAULT_DIMENSION_CAP) -> Bimodule:
@@ -429,7 +375,7 @@ def tensor_over(m: Bimodule, n: Bimodule, max_dim: int = DEFAULT_DIMENSION_CAP) 
         return i * n.dim + j
 
     relations: list[dict[int, Fraction]] = []
-    for mb, bn in zip(map(_columns, m.right_action), map(_columns, n.left_action)):
+    for mb, bn in zip(m.right_action, n.left_action):
         for i in range(m.dim):
             for j in range(n.dim):
                 row: dict[int, Fraction] = {}
@@ -440,26 +386,25 @@ def tensor_over(m: Bimodule, n: Bimodule, max_dim: int = DEFAULT_DIMENSION_CAP) 
                 relations.append(row)
     echelon = _echelon(relations, full)
     free = [c for c in range(full) if c not in echelon]
-    dim = len(free)
     free_pos = {c: t for t, c in enumerate(free)}
 
-    def descend(image) -> Matrix:
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for t, c in enumerate(free):
+    def descend(image) -> list[Column]:
+        cols = []
+        for c in free:
             col, den = _reduce_modulo(echelon, image(*divmod(c, n.dim)))
-            for k, x in col.items():
-                mat[free_pos[k]][t] = Fraction(x, den)
-        return mat
+            cols.append(tuple(sorted((free_pos[k], Fraction(x, den)) for k, x in col.items())))
+        return cols
 
     left_action = [
         descend(lambda i, j, am=am: {pack(i2, j): x for i2, x in am[i]})
-        for am in map(_columns, m.left_action)
+        for am in m.left_action
     ]
     right_action = [
         descend(lambda i, j, nc=nc: {pack(i, j2): x for j2, x in nc[j]})
-        for nc in map(_columns, n.right_action)
+        for nc in n.right_action
     ]
-    return Bimodule(f"({m.name})⊗({n.name})", m.left, n.right, dim, left_action, right_action)
+    return Bimodule(f"({m.name})⊗({n.name})", m.left, n.right, len(free),
+                    left_action, right_action)
 
 
 def _check_same_pair(m: Bimodule, n: Bimodule) -> None:
@@ -478,12 +423,14 @@ def _intertwiners(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
     for actions_m, actions_n in ((m.left_action, n.left_action),
                                  (m.right_action, n.right_action)):
         for am, an in zip(actions_m, actions_n):
-            am_cols = _columns(am)
-            an_rows = [[(t, x) for t, x in enumerate(row) if x] for row in an]
+            an_rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n.dim)]
+            for t, col in enumerate(an):
+                for r, x in col:
+                    an_rows[r].append((t, x))
             for r in range(n.dim):
                 for c in range(m.dim):
                     row: dict[int, Fraction] = {}
-                    for t, x in am_cols[c]:
+                    for t, x in am[c]:
                         row[pack(r, t)] = row.get(pack(r, t), 0) + x
                     for t, x in an_rows[r]:
                         row[pack(t, c)] = row.get(pack(t, c), 0) - x
@@ -495,23 +442,17 @@ def _intertwiners(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
     ]
 
 
-def _action_columns(n: Bimodule):
-    """The left and right action matrices of N, each by _columns."""
-    return [_columns(a) for a in n.left_action], [_columns(b) for b in n.right_action]
-
-
-def _generator_images(m: Bimodule, n: Bimodule, left, right) -> dict[int, dict[int, int]]:
+def _generator_images(m: Bimodule, n: Bimodule) -> dict[int, dict[int, int]]:
     """Echelon form of the relations of M's generator imposed on n ∈ N.
 
-    ``left`` and ``right`` are N's actions by _action_columns.  The
-    kernel is the space of images of the generator, i.e. Hom(M, N).
+    The kernel is the space of images of the generator, i.e. Hom(M, N).
     """
     rows: list[dict[int, Fraction]] = []
     for relation in m.generator.relations:
         block: list[dict[int, Fraction]] = [{} for _ in range(n.dim)]
         for c in range(n.dim):
             for x, y in relation:
-                for r, val in _act(left, x, _act(right, y, {c: 1})).items():
+                for r, val in _act(n.left_action, x, _act(n.right_action, y, {c: 1})).items():
                     block[r][c] = block[r].get(c, 0) + val
         rows += block
     return _echelon(rows, n.dim)
@@ -529,19 +470,17 @@ def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
         return []
     if m.generator is None:
         return _intertwiners(m, n)
-    left, right = _action_columns(n)
-    echelon = _generator_images(m, n, left, right)
     size = n.dim * m.dim
     # the map sending the generator to v, flattened row-major with the
     # column order reversed: the rref of these rows, read back in the
     # original order, is the kernel basis of the intertwining system
     flipped = []
-    for v in _kernel(echelon, n.dim):
+    for v in _kernel(_generator_images(m, n), n.dim):
         image = {c: x for c, x in enumerate(v) if x}
         flipped.append({
             size - 1 - (r * m.dim + j): x
             for j, (x_j, y_j) in enumerate(m.generator.basis)
-            for r, x in _act(left, x_j, _act(right, y_j, image)).items()
+            for r, x in _act(n.left_action, x_j, _act(n.right_action, y_j, image)).items()
         })
     maps = []
     reduced = _echelon(flipped, size)
@@ -556,15 +495,10 @@ def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
 
 
 def hom_dim(m: Bimodule, n: Bimodule) -> int:
-    return _hom_dim(m, n, None)
-
-
-def _hom_dim(m: Bimodule, n: Bimodule, columns) -> int:
-    """hom_dim, given N's actions by _action_columns when the caller has them."""
     _check_same_pair(m, n)
     if m.generator is None or m.dim == 0 or n.dim == 0:
         return len(hom_space(m, n))
-    return n.dim - len(_generator_images(m, n, *(columns or _action_columns(n))))
+    return n.dim - len(_generator_images(m, n))
 
 
 def end_is_local(m: Bimodule) -> bool:
@@ -595,8 +529,7 @@ def _candidate_gram(candidates: list[Bimodule]) -> list[list[Fraction]]:
 
 def _decompose(m: Bimodule, candidates: list[Bimodule],
                gram: list[list[Fraction]]) -> dict[int, int]:
-    columns = _action_columns(m)
-    rhs = [Fraction(_hom_dim(ci, m, columns)) for ci in candidates]
+    rhs = [Fraction(hom_dim(ci, m)) for ci in candidates]
     sol = solve_unique(gram, rhs)
     if sol is None:
         raise DecompositionError(
@@ -631,31 +564,23 @@ def decompose_against(m: Bimodule, candidates: list[Bimodule]) -> dict[int, int]
 
 def corner_dim(m: Bimodule, f: list[Fraction], e: list[Fraction]) -> int:
     """dim f·M·e for idempotent coordinate vectors f (left), e (right)."""
-    proj = mat_mul(m.left_act(f), m.right_act(e))
-    return rank([list(r) for r in proj])
+    images = [_act(m.left_action, f, _act(m.right_action, e, {c: 1})) for c in range(m.dim)]
+    return len(_echelon(images, m.dim))
 
 
 def direct_sum(m: Bimodule, n: Bimodule) -> Bimodule:
     """Block-diagonal sum of bimodules over the same algebra pair."""
     if m.left.name != n.left.name or m.right.name != n.right.name:
         raise ValueError("direct sum of bimodules over different algebra pairs")
-    dim = m.dim + n.dim
 
-    def block(a: Matrix, b: Matrix) -> Matrix:
-        out = [[Fraction(0)] * dim for _ in range(dim)]
-        for r in range(m.dim):
-            for c in range(m.dim):
-                out[r][c] = a[r][c]
-        for r in range(n.dim):
-            for c in range(n.dim):
-                out[m.dim + r][m.dim + c] = b[r][c]
-        return out
+    def block(a: list[Column], b: list[Column]) -> list[Column]:
+        return a + [tuple((m.dim + r, x) for r, x in col) for col in b]
 
     return Bimodule(
         f"({m.name})⊕({n.name})",
         m.left,
         m.right,
-        dim,
+        m.dim + n.dim,
         [block(a, b) for a, b in zip(m.left_action, n.left_action)],
         [block(a, b) for a, b in zip(m.right_action, n.right_action)],
     )
@@ -751,21 +676,14 @@ def verify_dual_numbers_quiver() -> QuiverReport:
 # rebuilding projective-functor tables from algebras
 
 
-def cartan_of(algebras: list[Algebra]) -> "CartanData":
-    """Read the pairing matrices off the algebras (dim f·A·e per component)."""
-    from .constructors import CartanData
+def _pairing(a: Algebra, ident: Bimodule) -> list[list[int]]:
+    """dim f·A·e for each pair of idempotents (f, e) of A; ``ident`` is A as a bimodule."""
+    return [[corner_dim(ident, f, e) for e in a.idempotents] for f in a.idempotents]
 
-    comps = []
-    for a in algebras:
-        k = len(a.idempotents)
-        mat = [[0] * k for _ in range(k)]
-        for fi in range(k):
-            for ei in range(k):
-                mat[fi][ei] = corner_dim(
-                    identity_bimodule(a), a.idempotents[fi], a.idempotents[ei]
-                )
-        comps.append(mat)
-    return CartanData(comps)
+
+def cartan_of(algebras: list[Algebra]) -> CartanData:
+    """Read the pairing matrices off the algebras (dim f·A·e per component)."""
+    return CartanData([_pairing(a, identity_bimodule(a)) for a in algebras])
 
 
 def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) -> MultiCat:
@@ -777,134 +695,113 @@ def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) ->
     as the closed-formula constructor, so the two can be compared for
     literal equality; that equality is this module's central oracle.
     """
-    identities: dict[int, Bimodule] = {}
-    for t, a in enumerate(algebras):
+    identities, pairings = [], []
+    for a in algebras:
         a.check()
-        identities[t] = ident = identity_bimodule(a)
-        k = len(a.idempotents)
-        for fi in range(k):
-            for ei in range(k):
-                forward = corner_dim(ident, a.idempotents[fi], a.idempotents[ei])
-                backward = corner_dim(ident, a.idempotents[ei], a.idempotents[fi])
-                if forward != backward:
+        identities.append(identity_bimodule(a))
+        pairing = _pairing(a, identities[-1])
+        for fi, row in enumerate(pairing):
+            for ei, forward in enumerate(row):
+                if forward != pairing[ei][fi]:
                     raise ValueError(
                         f"algebra {a.name}: pairing of idempotents {fi}, {ei} is "
                         "asymmetric; the algebra is not weakly symmetric"
                     )
+        pairings.append(pairing)
 
-    n_comp = len(algebras)
-    obj_labels = [f"t{t + 1}" for t in range(n_comp)]
-    vertex_comp: list[int] = []
-    vertex_local: list[int] = []
-    for t, a in enumerate(algebras):
-        for li in range(len(a.idempotents)):
-            vertex_comp.append(t)
-            vertex_local.append(li)
-    nv = len(vertex_comp)
-    merged = {t for t, a in enumerate(algebras) if a.dim == 1}
-
-    def plabel(fg: int, eg: int) -> str:
-        t = vertex_comp[fg]
-        if fg == eg and t in merged:
-            return f"1_{obj_labels[t]}"
-        return f"P[v{fg},v{eg}]"
-
-    projectives: dict[tuple[int, int], Bimodule] = {}
-    for fg in range(nv):
-        for eg in range(nv):
-            projectives[(fg, eg)] = projective_bimodule(
-                algebras[vertex_comp[fg]],
-                vertex_local[fg],
-                algebras[vertex_comp[eg]],
-                vertex_local[eg],
-                name=plabel(fg, eg),
-            )
-
-    # candidate summand lists per (target component, source component)
-    candidates: dict[tuple[int, int], list[tuple[str, Bimodule]]] = {}
-    for t in range(n_comp):
-        for s in range(n_comp):
-            cand: list[tuple[str, Bimodule]] = []
-            if t == s and t not in merged:
-                cand.append((f"1_{obj_labels[t]}", identities[t]))
-            for fg in range(nv):
-                if vertex_comp[fg] != t:
-                    continue
-                for eg in range(nv):
-                    if vertex_comp[eg] != s:
-                        continue
-                    cand.append((plabel(fg, eg), projectives[(fg, eg)]))
-            candidates[(t, s)] = cand
-
-    morph_specs: list[tuple[str, str, str, bool]] = []
-    for t in range(n_comp):
-        if t not in merged:
-            morph_specs.append((f"1_{obj_labels[t]}", obj_labels[t], obj_labels[t], True))
-    for fg in range(nv):
-        for eg in range(nv):
-            is_id = fg == eg and vertex_comp[fg] in merged
-            morph_specs.append(
-                (plabel(fg, eg), obj_labels[vertex_comp[eg]], obj_labels[vertex_comp[fg]], is_id)
-            )
-    star = {lab: lab for (lab, _, _, _) in morph_specs}
-    for fg in range(nv):
-        for eg in range(nv):
-            star[plabel(fg, eg)] = plabel(eg, fg)
+    sk = _projective_skeleton(pairings)
+    bimods = {
+        sk.labels[f][e]: projective_bimodule(algebras[t], i, algebras[s], j, name=sk.labels[f][e])
+        for f, (t, i) in enumerate(sk.vertices) for e, (s, j) in enumerate(sk.vertices)
+    }
+    # a merged component's identity is its one projective, built above
+    for t, ident in enumerate(identities):
+        bimods.setdefault(sk.units[t], ident)
+    # the candidate summands of a product from object s to object t are
+    # the morphs from s to t
+    candidates: dict[tuple[str, str], list[str]] = {}
+    for label, src, tgt, _ in sk.morph_specs:
+        candidates.setdefault((tgt, src), []).append(label)
 
     # the locality checks and the Gram matrix of a candidate list are
     # computed once, the first time a product needs that list
-    grams: dict[tuple[int, int], list[list[Fraction]]] = {}
+    grams: dict[tuple[str, str], list[list[Fraction]]] = {}
     table: dict[tuple[str, str], dict[str, int]] = {}
-    for fg in range(nv):
-        for eg in range(nv):
-            g_is_id = fg == eg and vertex_comp[fg] in merged
-            for fg2 in range(nv):
-                if vertex_comp[fg2] != vertex_comp[eg]:
-                    continue
-                for eg2 in range(nv):
-                    if g_is_id or (fg2 == eg2 and vertex_comp[fg2] in merged):
-                        continue
-                    product = tensor_over(
-                        projectives[(fg, eg)], projectives[(fg2, eg2)], max_dim=max_dim
-                    )
-                    key = (vertex_comp[fg], vertex_comp[eg2])
-                    cand = candidates[key]
-                    summands = [b for (_, b) in cand]
-                    if key not in grams:
-                        grams[key] = _candidate_gram(summands)
-                    mults = _decompose(product, summands, grams[key])
-                    out = {
-                        cand[i][0]: mult for i, mult in sorted(mults.items()) if mult
-                    }
-                    if out:
-                        table[(plabel(fg, eg), plabel(fg2, eg2))] = out
-    return build_multicat(obj_labels, morph_specs, star, table)
+    for f, e, f2, e2 in sk.products:
+        g, h = sk.labels[f][e], sk.labels[f2][e2]
+        product = tensor_over(bimods[g], bimods[h], max_dim=max_dim)
+        key = (sk.objects[sk.vertices[f][0]], sk.objects[sk.vertices[e2][0]])
+        summands = [bimods[c] for c in candidates[key]]
+        if key not in grams:
+            grams[key] = _candidate_gram(summands)
+        mults = _decompose(product, summands, grams[key])
+        out = {candidates[key][i]: mult for i, mult in sorted(mults.items()) if mult}
+        if out:
+            table[(g, h)] = out
+    return build_multicat(sk.objects, sk.morph_specs, sk.star, table)
 
 
 # ---------------------------------------------------------------------------
 # algebra fixtures
 
 
-def _parse_coeff(x) -> Fraction:
-    if isinstance(x, bool):
-        raise ValueError("boolean is not a coefficient")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"bad coefficient {x!r}; use integers or 'p/q' strings")
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
 
 
-def _parse_vector(spec, basis_index: dict[str, int], dim: int) -> list[Fraction]:
-    vec = [Fraction(0)] * dim
-    if isinstance(spec, str):
-        vec[basis_index[spec]] = Fraction(1)
-        return vec
+def _parse_coeff(x, where: str) -> Fraction:
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise TableFormatError(f"{where}: bad coefficient {x!r}; use integers or 'p/q' strings")
+
+
+def _basis_index(index: dict[str, int], label, where: str) -> int:
+    if _expect(label, str, where) not in index:
+        raise TableFormatError(f"{where}: unknown basis label {label!r}")
+    return index[label]
+
+
+def _parse_vector(spec, index: dict[str, int], where: str) -> list[Fraction]:
+    """A basis label, or a JSON object of coefficients keyed by basis label."""
+    vec = [Fraction(0)] * len(index)
     if isinstance(spec, dict):
         for lab, c in spec.items():
-            vec[basis_index[lab]] = _parse_coeff(c)
-        return vec
-    raise ValueError(f"bad vector spec {spec!r}")
+            vec[_basis_index(index, lab, where)] = _parse_coeff(c, f"{where}[{lab!r}]")
+    else:
+        vec[_basis_index(index, spec, where)] = Fraction(1)
+    return vec
+
+
+def _algebra_from_document(doc, where: str) -> Algebra:
+    """algebra_from_document, with each format error naming its field below ``where``."""
+    _expect(doc, dict, where or "document root")
+    basis = _expect(_field(doc, "basis", where), list, _at(where, "basis"))
+    for i, lab in enumerate(basis):
+        _expect(lab, str, _at(where, f"basis[{i}]"))
+    index = {lab: i for i, lab in enumerate(basis)}
+    if len(index) != len(basis):
+        raise TableFormatError(f"{_at(where, 'basis')}: duplicate basis label")
+    dim = len(basis)
+    mult = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for k, entry in enumerate(_expect(doc.get("mult", []), list, _at(where, "mult"))):
+        at = _at(where, f"mult[{k}]")
+        _expect(entry, dict, at)
+        a = _basis_index(index, _field(entry, "a", at), f"{at}.a")
+        b = _basis_index(index, _field(entry, "b", at), f"{at}.b")
+        mult[a][b] = _parse_vector(entry.get("out", {}), index, f"{at}.out")
+    unit = _parse_vector(_field(doc, "unit", where), index, _at(where, "unit"))
+    idempotents = [
+        _parse_vector(e, index, _at(where, f"idempotents[{i}]"))
+        for i, e in enumerate(_expect(_field(doc, "idempotents", where), list,
+                                      _at(where, "idempotents")))
+    ]
+    name = _expect(doc.get("name", "A"), str, _at(where, "name"))
+    alg = Algebra(name, basis, mult, unit, idempotents)
+    alg.check()
+    return alg
 
 
 def algebra_from_document(doc: dict) -> Algebra:
@@ -912,20 +809,10 @@ def algebra_from_document(doc: dict) -> Algebra:
 
     Fields: ``name``, ``basis`` (labels), ``unit`` (label or coefficient
     map), ``mult`` (list of {a, b, out} with out a coefficient map;
-    omitted products are zero), ``idempotents`` (labels or maps).
+    omitted products are zero), ``idempotents`` (labels or maps).  A
+    malformed field raises :class:`TableFormatError` naming its path.
     """
-    basis = list(doc["basis"])
-    index = {lab: i for i, lab in enumerate(basis)}
-    dim = len(basis)
-    mult = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for entry in doc.get("mult", []):
-        a, b = index[entry["a"]], index[entry["b"]]
-        mult[a][b] = _parse_vector(entry.get("out", {}), index, dim)
-    unit = _parse_vector(doc["unit"], index, dim)
-    idempotents = [_parse_vector(e, index, dim) for e in doc["idempotents"]]
-    alg = Algebra(doc.get("name", "A"), basis, mult, unit, idempotents)
-    alg.check()
-    return alg
+    return _algebra_from_document(doc, "")
 
 
 def load_algebras(source) -> list[Algebra]:
@@ -937,5 +824,8 @@ def load_algebras(source) -> list[Algebra]:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    doc = json.loads(text)
-    return [algebra_from_document(spec) for spec in doc["algebras"]]
+    doc = _expect(json.loads(text), dict, "document root")
+    specs = _expect(_field(doc, "algebras"), list, "algebras")
+    if not specs:
+        raise TableFormatError("algebras: no algebras")
+    return [_algebra_from_document(spec, f"algebras[{i}]") for i, spec in enumerate(specs)]

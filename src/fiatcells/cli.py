@@ -35,12 +35,14 @@ from .model import (
     MultiCat,
     NotComposableError,
     TableFormatError,
+    _expect,
+    _field,
     parse_multicat,
     serialize_multicat,
     validate,
 )
 from .permutations import Permutation
-from .report import render_analyze_text, report_analyze
+from .report import _lint_block, _validation_block, render_analyze_text, report_analyze
 from .tableaux import robinson_schensted
 
 if TYPE_CHECKING:
@@ -184,13 +186,7 @@ def _dispatch(args) -> int:
         report = validate(cat)
         if args.json:
             doc = _envelope(args, text)
-            doc["validation"] = {
-                "ok": report.ok,
-                "violations": [
-                    {"law": v.law, "witness": list(v.witness), "detail": v.detail}
-                    for v in report.violations
-                ],
-            }
+            doc["validation"] = _validation_block(report)
             _emit_json(doc)
         else:
             print(report)
@@ -247,13 +243,7 @@ def _dispatch(args) -> int:
         report = fiat_lint(cat)
         if args.json:
             doc = _envelope(args, text)
-            doc["lint"] = {
-                "checks": [
-                    {"check": c.check, "status": c.status, "witnesses": list(c.witnesses)}
-                    for c in report.checks
-                ],
-                "fiat_certified_impossible": report.fiat_certified_impossible,
-            }
+            doc["lint"] = _lint_block(report)
             _emit_json(doc)
         else:
             print(report)
@@ -268,9 +258,7 @@ def _dispatch(args) -> int:
         elif what == "ca":
             if not args.cartan:
                 return _fail("gen ca requires --cartan <file>")
-            doc = json.loads(_read_text(args.cartan))
-            comps = doc["components"] if isinstance(doc, dict) else doc
-            cat = make_CA(CartanData(comps))
+            cat = make_CA(_load_cartan(args.cartan))
         else:
             if args.n is None:
                 return _fail("gen hecke requires --n <int>")
@@ -335,21 +323,44 @@ def _dispatch_bimod(args) -> int:
     return _fail(f"unknown bimod command {args.bimod_command!r}")
 
 
+def _load_cartan(path: str) -> CartanData:
+    """Cartan document: {"components": [...]} or the bare list of pairing matrices."""
+    doc = json.loads(_read_text(path))
+    if isinstance(doc, dict):
+        doc = _field(doc, "components")
+    comps = _expect(doc, list, "components")
+    for t, comp in enumerate(comps):
+        for a, row in enumerate(_expect(comp, list, f"components[{t}]")):
+            for b, x in enumerate(_expect(row, list, f"components[{t}][{a}]")):
+                _expect(x, int, f"components[{t}][{a}][{b}]")
+    return CartanData(comps)
+
+
 def _load_bimodule(path: str) -> Bimodule:
     """Bimodule document: algebras plus a projective/identity descriptor."""
-    from .bimodule import algebra_from_document, identity_bimodule, projective_bimodule
+    from .bimodule import _algebra_from_document, identity_bimodule, projective_bimodule
 
-    doc = json.loads(_read_text(path))
-    left = algebra_from_document(doc["left"])
-    right = left if doc.get("right") in (None, "same") else algebra_from_document(doc["right"])
+    doc = _expect(json.loads(_read_text(path)), dict, "document root")
+    left = _algebra_from_document(_field(doc, "left"), "left")
+    right = doc.get("right")
+    right = left if right in (None, "same") else _algebra_from_document(right, "right")
     kind = doc.get("kind", "projective")
     if kind == "identity":
         if right is not left:
             raise TableFormatError("identity bimodule needs matching algebras")
         return identity_bimodule(left)
-    if kind == "projective":
-        return projective_bimodule(left, int(doc["f"]), right, int(doc["e"]))
-    raise TableFormatError(f"unknown bimodule kind {kind!r}")
+    if kind != "projective":
+        raise TableFormatError(f"unknown bimodule kind {kind!r}")
+
+    def idempotent(key: str, algebra) -> int:
+        i = _expect(_field(doc, key), int, key)
+        if not 0 <= i < len(algebra.idempotents):
+            raise TableFormatError(
+                f"{key}: no idempotent {i}; {algebra.name} has {len(algebra.idempotents)}"
+            )
+        return i
+
+    return projective_bimodule(left, idempotent("f", left), right, idempotent("e", right))
 
 
 def main() -> None:

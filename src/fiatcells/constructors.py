@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .klbasis import kl_structure_constants_at_one
 from .model import MultiCat, build_multicat
@@ -140,6 +141,58 @@ def _connected(comp) -> bool:
     return len(seen) == k
 
 
+class _Skeleton(NamedTuple):
+    """The shape of a projective-functor table, without its products.
+
+    Component t is object ``objects[t]``; vertex v lies in component
+    ``vertices[v][0]`` at local index ``vertices[v][1]``; ``labels[f][e]``
+    names P[f,e] and ``units[t]`` the identity of component t.
+    ``products`` lists the composable pairs (P[f,e], P[f',e']) that the
+    unit law does not settle, as quadruples (f, e, f', e').
+    """
+
+    objects: list[str]
+    vertices: list[tuple[int, int]]
+    labels: list[list[str]]
+    units: list[str]
+    morph_specs: list[tuple[str, str, str, bool]]
+    star: dict[str, str]
+    products: list[tuple[int, int, int, int]]
+
+
+def _projective_skeleton(pairings) -> _Skeleton:
+    """Objects, morphs, star and composable pairs for per-component pairings.
+
+    A component whose pairing is [[1]] is merged: its identity is its
+    only projective, so no separate identity is emitted.
+    """
+    objects = [f"t{t + 1}" for t in range(len(pairings))]
+    vertices = [(t, i) for t, comp in enumerate(pairings) for i in range(len(comp))]
+    merged = [len(comp) == 1 and comp[0][0] == 1 for comp in pairings]
+    units = [f"1_{o}" for o in objects]
+    nv = len(vertices)
+
+    def is_unit(f: int, e: int) -> bool:
+        return f == e and merged[vertices[f][0]]
+
+    labels = [[units[vertices[f][0]] if is_unit(f, e) else f"P[v{f},v{e}]" for e in range(nv)]
+              for f in range(nv)]
+    morph_specs = [(units[t], o, o, True) for t, o in enumerate(objects) if not merged[t]]
+    morph_specs += [
+        (labels[f][e], objects[vertices[e][0]], objects[vertices[f][0]], is_unit(f, e))
+        for f in range(nv) for e in range(nv)
+    ]
+    star = {units[t]: units[t] for t in range(len(objects)) if not merged[t]}
+    star.update((labels[f][e], labels[e][f]) for f in range(nv) for e in range(nv))
+    products = [
+        (f, e, f2, e2)
+        for f in range(nv) for e in range(nv) if not is_unit(f, e)
+        for f2 in range(nv) if vertices[f2][0] == vertices[e][0]
+        for e2 in range(nv) if not is_unit(f2, e2)
+    ]
+    return _Skeleton(objects, vertices, labels, units, morph_specs, star, products)
+
+
 def make_CA(*data) -> MultiCat:
     """Table of projective endofunctors attached to Cartan data.
 
@@ -160,66 +213,14 @@ def make_CA(*data) -> MultiCat:
         cartan = data[0]
     else:
         cartan = CartanData(list(data))
-
-    comps = cartan.components
-    obj_labels = [f"t{t + 1}" for t in range(len(comps))]
-    vertex_comp: list[int] = []
-    for t, comp in enumerate(comps):
-        vertex_comp.extend([t] * len(comp))
-    offsets = []
-    off = 0
-    for comp in comps:
-        offsets.append(off)
-        off += len(comp)
-    nv = cartan.vertex_count
-
-    def vname(e: int) -> str:
-        return f"v{e}"
-
-    def pairing(e: int, f: int) -> int:
-        t = vertex_comp[e]
-        if vertex_comp[f] != t:
-            return 0
-        return comps[t][e - offsets[t]][f - offsets[t]]
-
-    merged = {t for t, comp in enumerate(comps) if comp == ((1,),)}
-
-    def plabel(f: int, e: int) -> str:
-        t = vertex_comp[f]
-        if f == e and t in merged:
-            return f"1_{obj_labels[t]}"
-        return f"P[{vname(f)},{vname(e)}]"
-
-    morph_specs: list[tuple[str, str, str, bool]] = []
-    for t in range(len(comps)):
-        if t not in merged:
-            morph_specs.append((f"1_{obj_labels[t]}", obj_labels[t], obj_labels[t], True))
-    for f in range(nv):
-        for e in range(nv):
-            is_id = f == e and vertex_comp[f] in merged
-            morph_specs.append(
-                (plabel(f, e), obj_labels[vertex_comp[e]], obj_labels[vertex_comp[f]], is_id)
-            )
-
-    star = {lab: lab for (lab, _, _, _) in morph_specs}
-    for f in range(nv):
-        for e in range(nv):
-            star[plabel(f, e)] = plabel(e, f)
-
+    sk = _projective_skeleton(cartan.components)
     table: dict[tuple[str, str], dict[str, int]] = {}
-    for f in range(nv):
-        for e in range(nv):
-            g_is_id = f == e and vertex_comp[f] in merged
-            for f2 in range(nv):
-                if vertex_comp[f2] != vertex_comp[e]:
-                    continue  # not composable
-                for e2 in range(nv):
-                    if g_is_id or (f2 == e2 and vertex_comp[f2] in merged):
-                        continue  # unit law, omitted
-                    c = pairing(e, f2)
-                    if c:
-                        table[(plabel(f, e), plabel(f2, e2))] = {plabel(f, e2): c}
-    return build_multicat(obj_labels, morph_specs, star, table)
+    for f, e, f2, e2 in sk.products:
+        t, i = sk.vertices[e]
+        c = cartan.components[t][i][sk.vertices[f2][1]]
+        if c:
+            table[(sk.labels[f][e], sk.labels[f2][e2])] = {sk.labels[f][e2]: c}
+    return build_multicat(sk.objects, sk.morph_specs, sk.star, table)
 
 
 def random_cartan_data(rng: random.Random, max_components: int = 3,

@@ -25,8 +25,6 @@ __all__ = [
     "kernel_basis",
     "solve_unique",
     "mat_mul",
-    "identity_matrix",
-    "reduce_vector",
 ]
 
 Matrix = list[list[Fraction]]
@@ -203,16 +201,3 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                         oi[j] += x * bt[j]
     return out
 
-
-def identity_matrix(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def reduce_vector(reduced: Matrix, pivots: list[int], v: Vector) -> Vector:
-    """Reduce v modulo the row space of an rref matrix."""
-    out = list(v)
-    for r, c in enumerate(pivots):
-        if out[c]:
-            factor = out[c]
-            out = [a - factor * b for a, b in zip(out, reduced[r])]
-    return out

@@ -273,10 +273,17 @@ _JSON_TYPES = {
 
 def _expect(value, kind: type, where: str):
     """``value`` itself if it has the JSON type ``kind``; else a format error at ``where``."""
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         got = _JSON_TYPES.get(type(value), type(value).__name__)
         raise TableFormatError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {got}")
     return value
+
+
+def _field(doc: dict, key: str, where: str = ""):
+    """``doc[key]``; else a format error naming the object at ``where`` ('' for the root)."""
+    if key not in doc:
+        raise TableFormatError(f"{where + ': ' if where else ''}missing field {key!r}")
+    return doc[key]
 
 
 def multicat_from_document(doc: dict) -> MultiCat:

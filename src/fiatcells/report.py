@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .analysis import (
     DufloError,
+    LintReport,
     NotStronglyRegularError,
     PurityError,
     _fiat_lint,
@@ -17,7 +18,7 @@ from .analysis import (
     m_table,
 )
 from .cells import cells, classify_two_sided
-from .model import MultiCat, validate
+from .model import MultiCat, ValidationReport, validate
 
 __all__ = ["report_analyze", "render_analyze_text"]
 
@@ -30,6 +31,28 @@ def _cells_section(cat: MultiCat, kind: str) -> dict:
     }
 
 
+def _validation_block(report: ValidationReport) -> dict:
+    """The ``validation`` block of the JSON reports."""
+    return {
+        "ok": report.ok,
+        "violations": [
+            {"law": v.law, "witness": list(v.witness), "detail": v.detail}
+            for v in report.violations
+        ],
+    }
+
+
+def _lint_block(report: LintReport) -> dict:
+    """The ``lint`` block of the JSON reports."""
+    return {
+        "checks": [
+            {"check": c.check, "status": c.status, "witnesses": list(c.witnesses)}
+            for c in report.checks
+        ],
+        "fiat_certified_impossible": report.fiat_certified_impossible,
+    }
+
+
 def report_analyze(cat: MultiCat) -> dict:
     """Aggregate every analysis this package performs on one table.
 
@@ -38,15 +61,7 @@ def report_analyze(cat: MultiCat) -> dict:
     its verdict and witnesses instead.
     """
     vreport = validate(cat)
-    doc: dict = {
-        "validation": {
-            "ok": vreport.ok,
-            "violations": [
-                {"law": v.law, "witness": list(v.witness), "detail": v.detail}
-                for v in vreport.violations
-            ],
-        }
-    }
+    doc: dict = {"validation": _validation_block(vreport)}
     if not vreport.ok:
         return doc
 
@@ -104,14 +119,7 @@ def report_analyze(cat: MultiCat) -> dict:
         m.label: m_diagonal[m.label] for m in cat.morphs if m.label in m_diagonal
     }
 
-    lint = _fiat_lint(cat, vreport)
-    doc["lint"] = {
-        "checks": [
-            {"check": c.check, "status": c.status, "witnesses": list(c.witnesses)}
-            for c in lint.checks
-        ],
-        "fiat_certified_impossible": lint.fiat_certified_impossible,
-    }
+    doc["lint"] = _lint_block(_fiat_lint(cat, vreport))
     return doc
 
 

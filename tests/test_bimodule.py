@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiatcells import (
     DecompositionError,
@@ -20,7 +22,7 @@ from fiatcells import (
     tensor_over,
     verify_dual_numbers_quiver,
 )
-from fiatcells.bimodule import DimensionCapError, corner_dim, end_is_local, hom_dim
+from fiatcells.bimodule import Algebra, DimensionCapError, corner_dim, end_is_local, hom_dim
 from fiatcells.linalg import mat_mul
 
 from conftest import FIXTURES
@@ -45,6 +47,23 @@ def F(D):
     f = projective_bimodule(D, 0, D, 0)
     f.check()
     return f
+
+
+@pytest.mark.parametrize(
+    "break_actions, message",
+    [
+        (lambda left: left[0].__setitem__(0, ((0, Fraction(2)),)), "left action not unital"),
+        (lambda left: left.__setitem__(1, left[0]), "left action not multiplicative"),
+        (lambda left: left[1].__setitem__(0, ()), "do not commute"),
+    ],
+    ids=["unital", "multiplicative", "commuting"],
+)
+def test_bimodule_check_rejects_broken_actions(D, break_actions, message):
+    f = projective_bimodule(D, 0, D, 0)
+    left = [list(cols) for cols in f.left_action]
+    break_actions(left)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(f, left_action=left).check()
 
 
 def test_algebra_validation_catches_bad_idempotent(D):
@@ -214,8 +233,6 @@ def test_realize_ca_equals_formula_path(D, Q):
 
 def test_realize_ca_rejects_non_weakly_symmetric():
     # path algebra of the A2 quiver: dim e1Ae2 = 1 but e2Ae1 = 0
-    from fiatcells.bimodule import Algebra
-
     f = Fraction
     e1 = [f(1), f(0), f(0)]
     e2 = [f(0), f(1), f(0)]
@@ -257,12 +274,34 @@ def test_realize_ca_on_larger_algebras(fixture, cartan):
     assert realize_CA(algebras) == make_CA(cartan_of(algebras))
 
 
+def _dense(columns):
+    """The square matrix whose column c holds the (row, value) pairs columns[c]."""
+    mat = [[Fraction(0)] * len(columns) for _ in columns]
+    for c, col in enumerate(columns):
+        for r, x in col:
+            mat[r][c] = x
+    return mat
+
+
 def _intertwines(bm) -> bool:
     x = [list(r) for r in bm.matrix]
     return all(
-        mat_mul(x, am) == mat_mul(an, x)
+        mat_mul(x, _dense(am)) == mat_mul(_dense(an), x)
         for am, an in zip(bm.source.left_action + bm.source.right_action,
                           bm.target.left_action + bm.target.right_action)
+    )
+
+
+def _in_column_form(m) -> bool:
+    """Every action column lists non-zero Fraction entries by ascending row."""
+    return all(
+        len(cols) == m.dim
+        and all(
+            [r for r, _ in col] == sorted({r for r, _ in col})
+            and all(0 <= r < m.dim and type(x) is Fraction and x for r, x in col)
+            for col in cols
+        )
+        for cols in m.left_action + m.right_action
     )
 
 
@@ -296,6 +335,7 @@ def test_hom_by_generator_matches_intertwining_kernel(name):
             assert hom_dim(m, n) == len(slow)
             assert all(b.source is m and b.target is n for b in fast)
             assert all(_intertwines(b) for b in fast), (m.name, n.name)
+    assert all(_in_column_form(m) for m in targets)
 
 
 def test_hom_from_projective_is_corner():
@@ -314,3 +354,73 @@ def test_generator_takes_no_part_in_equality(D):
     assert plain == f
     assert repr(plain) == repr(f)
     assert "generator" not in repr(f)
+
+
+# ---------------------------------------------------------------------------
+# the oracle on algebras with rational structure constants
+
+
+def _truncated_polynomial(k):
+    """Q[x]/(x^k) on the basis x^0 = 1, ..., x^(k-1): labels, products, idempotents.
+
+    ``products`` maps (i, j) to k when b_i·b_j = b_k; other products are 0.
+    """
+    labels = [f"x{i}" for i in range(k)]
+    return labels, {(i, j): i + j for i in range(k) for j in range(k - i)}, [0]
+
+
+def _zigzag(n):
+    """The zigzag algebra of a path on n vertices (Huerfano–Khovanov).
+
+    Basis: the paths e_v, the arrows v→w between neighbours and one loop
+    c_v per vertex, each as (source, target, length); x·y is x after y,
+    every path v→w→v equals c_v, and every other path of length ≥ 2 is 0.
+    """
+    paths = ([(v, v, 0) for v in range(n)]
+             + [(v, w, 1) for v in range(n) for w in (v - 1, v + 1) if 0 <= w < n]
+             + [(v, v, 2) for v in range(n)])
+    index = {p: i for i, p in enumerate(paths)}
+    products = {
+        (i, j): index[(s2, t1, l1 + l2)]
+        for i, (s1, t1, l1) in enumerate(paths)
+        for j, (s2, t2, l2) in enumerate(paths)
+        if s1 == t2 and (s2, t1, l1 + l2) in index
+    }
+    labels = [f"p{s}{t}_{length}" for s, t, length in paths]
+    return labels, products, list(range(n))
+
+
+_RATIONAL_CASES = {
+    **{f"x^{k}": (_truncated_polynomial(k), ((k,),)) for k in range(2, 6)},
+    "zigzag2": (_zigzag(2), ((2, 1), (1, 2))),
+    "zigzag3": (_zigzag(3), ((2, 1, 0), (1, 2, 1), (0, 1, 2))),
+}
+
+
+def _rescaled(name, labels, products, idempotents, order, scale):
+    """The algebra on the basis scale[i]·b_i, listed in the order ``order``."""
+    dim = len(labels)
+    pos = {i: p for p, i in enumerate(order)}
+    mult = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), k in products.items():
+        mult[pos[i]][pos[j]][pos[k]] = scale[i] * scale[j] / scale[k]
+    idem = [[Fraction(int(pos[i] == p)) for p in range(dim)] for i in idempotents]
+    unit = [sum(col, Fraction(0)) for col in zip(*idem)]
+    return Algebra(name, [labels[i] for i in order], mult, unit, idem)
+
+
+_nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_realize_ca_with_rational_structure_constants(data):
+    name = data.draw(st.sampled_from(sorted(_RATIONAL_CASES)))
+    (labels, products, idempotents), cartan = _RATIONAL_CASES[name]
+    order = data.draw(st.permutations(range(len(labels))))
+    scale = [Fraction(1) if i in idempotents else data.draw(_nonzero) for i in range(len(labels))]
+    alg = _rescaled(name, labels, products, idempotents, order, scale)
+    assert cartan_of([alg]).components == (cartan,)
+    assert realize_CA([alg]) == make_CA(cartan_of([alg]))
+    p = projective_bimodule(alg, 0, alg, len(idempotents) - 1)
+    assert all(_in_column_form(m) for m in (identity_bimodule(alg), p, tensor_over(p, p)))

@@ -324,6 +324,53 @@ def test_wrongly_typed_fields_exit_1_naming_the_field(capsys, monkeypatch, comma
     assert f"error: {field}" in err
 
 
+def _bimod_f_with(**fields):
+    doc = json.loads((FIXTURES / "bimod_f.json").read_text(encoding="utf-8"))
+    doc.update(fields)
+    return doc
+
+
+def _algebras_qd_with_mult_a(value):
+    doc = json.loads((FIXTURES / "algebras_qd.json").read_text(encoding="utf-8"))
+    doc["algebras"][1]["mult"][2]["a"] = value
+    return doc
+
+
+_GEN_CA = ["gen", "ca", "--cartan"]
+_REALIZE = ["bimod", "realize-ca", "--algebras"]
+_HOM = ["bimod", "hom", "--n", str(FIXTURES / "bimod_f.json"), "--m"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        (_GEN_CA, {"components": 5}, "components"),
+        (_GEN_CA, [[[2.7]]], "components[0][0][0]"),
+        (_GEN_CA, [[["2"]]], "components[0][0][0]"),
+        (_GEN_CA, [[[True]]], "components[0][0][0]"),
+        (_REALIZE, [], "document root"),
+        (_REALIZE, {"algebras": [5]}, "algebras[0]"),
+        (_REALIZE, _algebras_qd_with_mult_a(2), "algebras[1].mult[2].a"),
+        (_REALIZE, _algebras_qd_with_mult_a("y"), "algebras[1].mult[2].a"),
+        (_HOM, _bimod_f_with(f=[0]), "f"),
+        (_HOM, _bimod_f_with(f=3), "f"),
+        (_HOM, _bimod_f_with(left={"basis": ["1"], "unit": {"1": 0.5}, "idempotents": ["1"]}),
+         "left.unit['1']"),
+    ],
+    ids=["cartan-object", "cartan-float", "cartan-string", "cartan-bool", "algebras-array",
+         "algebras-integer", "mult-a-integer", "mult-a-unknown", "hom-f-array", "hom-f-range",
+         "unit-float"],
+)
+def test_malformed_non_table_documents_exit_1_naming_the_field(capsys, tmp_path, command, doc,
+                                                               field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert f"error: {field}" in err
+
+
 def test_int64_overflowing_table_is_not_associative(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(three_morph_doc(2**32, 2**33)), encoding="utf-8")
@@ -379,11 +426,26 @@ def _paths(node, prefix=()):
         yield from _paths(child, (*prefix, key))
 
 
-# capsys and monkeypatch are re-read and re-set by every invoke_stdin call
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), command=st.sampled_from(["validate", "lint", "analyze", "cells"]))
-def test_fuzzed_documents_never_crash(capsys, monkeypatch, data, command):
-    doc = _sl2_doc()
+# the document each command reads, and its arguments before the path
+_FUZZED = {
+    "validate": (GOLDEN / "sl2.json", ["validate"]),
+    "lint": (GOLDEN / "sl2.json", ["lint"]),
+    "analyze": (GOLDEN / "sl2.json", ["analyze"]),
+    "cells": (GOLDEN / "sl2.json", ["cells"]),
+    "gen ca": (FIXTURES / "cartan_12.json", ["gen", "ca", "--cartan"]),
+    "bimod realize-ca": (FIXTURES / "algebras_qd.json", ["bimod", "realize-ca", "--algebras"]),
+    "bimod hom": (FIXTURES / "bimod_f.json",
+                  ["bimod", "hom", "--n", str(FIXTURES / "bimod_f.json"), "--m"]),
+}
+
+
+# capsys and tmp_path are shared by the examples; each invoke re-reads
+# capsys and each example rewrites the one document file
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(sorted(_FUZZED)))
+def test_fuzzed_documents_never_crash(capsys, tmp_path, data, command):
+    source, argv = _FUZZED[command]
+    doc = json.loads(source.read_text(encoding="utf-8"))
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_paths(doc))))
         value = data.draw(_json_values)
@@ -391,5 +453,7 @@ def test_fuzzed_documents_never_crash(capsys, monkeypatch, data, command):
             _set(list(path), value)(doc)
         else:
             doc = value
-    code, _, err = invoke_stdin(capsys, monkeypatch, json.dumps(doc), command, "-")
+    target = tmp_path / "doc.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = invoke(capsys, *argv, str(target))
     assert code in (0, 1, 2) and "Traceback" not in err
