@@ -297,8 +297,7 @@ def multicat_from_document(doc: dict) -> MultiCat:
     """
     _expect(doc, dict, "document root")
     for key in ("objects", "morphisms", "star", "compose"):
-        if key not in doc:
-            raise TableFormatError(f"missing field {key!r}")
+        _field(doc, key)
     object_labels = _expect(doc["objects"], list, "objects")
     if not object_labels:
         raise TableFormatError("no objects")
@@ -314,9 +313,7 @@ def multicat_from_document(doc: dict) -> MultiCat:
     for i, spec in enumerate(_expect(doc["morphisms"], list, "morphisms")):
         _expect(spec, dict, f"morphisms[{i}]")
         for key in ("label", "src", "tgt"):
-            if key not in spec:
-                raise TableFormatError(f"morphisms[{i}]: missing field {key!r}")
-            _expect(spec[key], str, f"morphisms[{i}].{key}")
+            _expect(_field(spec, key, f"morphisms[{i}]"), str, f"morphisms[{i}].{key}")
         lab = spec["label"]
         if lab in seen_labels:
             raise TableFormatError(f"morphisms[{i}]: duplicate morphism label {lab!r}")
@@ -370,8 +367,7 @@ def multicat_from_document(doc: dict) -> MultiCat:
     for i, entry in enumerate(_expect(doc["compose"], list, "compose")):
         _expect(entry, dict, f"compose[{i}]")
         for key in ("g", "f", "out"):
-            if key not in entry:
-                raise TableFormatError(f"compose[{i}]: missing field {key!r}")
+            _field(entry, key, f"compose[{i}]")
         g = resolve(entry["g"], f"compose[{i}].g")
         f = resolve(entry["f"], f"compose[{i}].f")
         if (g.index, f.index) in table:

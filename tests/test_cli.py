@@ -426,7 +426,8 @@ def _paths(node, prefix=()):
         yield from _paths(child, (*prefix, key))
 
 
-# the document each command reads, and its arguments before the path
+# the document each command reads, and its arguments before the path; the
+# table commands read it from stdin ("-"), the others from a file
 _FUZZED = {
     "validate": (GOLDEN / "sl2.json", ["validate"]),
     "lint": (GOLDEN / "sl2.json", ["lint"]),
@@ -437,13 +438,15 @@ _FUZZED = {
     "bimod hom": (FIXTURES / "bimod_f.json",
                   ["bimod", "hom", "--n", str(FIXTURES / "bimod_f.json"), "--m"]),
 }
+_STDIN_COMMANDS = {"validate", "lint", "analyze", "cells"}
 
 
-# capsys and tmp_path are shared by the examples; each invoke re-reads
-# capsys and each example rewrites the one document file
-@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# capsys, monkeypatch and tmp_path are shared by the examples; each invoke
+# re-reads capsys, and each example re-sets stdin or rewrites the one file.
+# 265 examples over 7 commands keep about 150 on the 4 table commands.
+@settings(max_examples=265, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), command=st.sampled_from(sorted(_FUZZED)))
-def test_fuzzed_documents_never_crash(capsys, tmp_path, data, command):
+def test_fuzzed_documents_never_crash(capsys, monkeypatch, tmp_path, data, command):
     source, argv = _FUZZED[command]
     doc = json.loads(source.read_text(encoding="utf-8"))
     for _ in range(data.draw(st.integers(1, 3))):
@@ -453,7 +456,10 @@ def test_fuzzed_documents_never_crash(capsys, tmp_path, data, command):
             _set(list(path), value)(doc)
         else:
             doc = value
-    target = tmp_path / "doc.json"
-    target.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = invoke(capsys, *argv, str(target))
+    if command in _STDIN_COMMANDS:
+        code, _, err = invoke_stdin(capsys, monkeypatch, json.dumps(doc), *argv, "-")
+    else:
+        target = tmp_path / "doc.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = invoke(capsys, *argv, str(target))
     assert code in (0, 1, 2) and "Traceback" not in err
