@@ -365,18 +365,16 @@ def multicat_from_document(doc: dict) -> MultiCat:
 
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i, entry in enumerate(_expect(doc["compose"], list, "compose")):
-        _expect(entry, dict, f"compose[{i}]")
-        for key in ("g", "f", "out"):
-            _field(entry, key, f"compose[{i}]")
-        g = resolve(entry["g"], f"compose[{i}].g")
-        f = resolve(entry["f"], f"compose[{i}].f")
+        at = f"compose[{i}]"
+        _expect(entry, dict, at)
+        g, f, terms = _field(entry, "g", at), _field(entry, "f", at), _field(entry, "out", at)
+        g = resolve(g, f"{at}.g")
+        f = resolve(f, f"{at}.f")
         if (g.index, f.index) in table:
-            raise TableFormatError(
-                f"compose[{i}]: duplicate entry for ({g.label!r}, {f.label!r})"
-            )
+            raise TableFormatError(f"{at}: duplicate entry for ({g.label!r}, {f.label!r})")
         out: dict[int, int] = {}
-        for j, term in enumerate(_expect(entry["out"], list, f"compose[{i}].out")):
-            where = f"compose[{i}].out[{j}]"
+        for j, term in enumerate(_expect(terms, list, f"{at}.out")):
+            where = f"{at}.out[{j}]"
             _expect(term, dict, where)
             m = resolve(term.get("m", ""), f"{where}.m")
             mult = term.get("mult", 1)
