@@ -270,16 +270,26 @@ def _column(vec) -> Column:
     return tuple((r, x) for r, x in enumerate(vec) if x)
 
 
+def _terms(actions: list[list[Column]], coeffs) -> list[tuple[Fraction, list[Column]]]:
+    """The non-zero terms (coeffs[i], actions[i]) of Σ coeffs[i]·actions[i]."""
+    return [(a, cols) for a, cols in zip(coeffs, actions) if a]
+
+
+def _apply(terms: list[tuple[Fraction, list[Column]]],
+           v: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Σ a·cols over ``terms`` applied to a sparse vector, without zero entries."""
+    out: dict[int, Fraction] = {}
+    for a, cols in terms:
+        for c, x in v.items():
+            ax = a * x
+            for r, y in cols[c]:
+                out[r] = out.get(r, 0) + ax * y
+    return {r: x for r, x in out.items() if x}
+
+
 def _act(actions: list[list[Column]], coeffs, v: dict[int, Fraction]) -> dict[int, Fraction]:
     """Σ coeffs[i]·actions[i] applied to a sparse vector, without zero entries."""
-    out: dict[int, Fraction] = {}
-    for a, cols in zip(coeffs, actions):
-        if a:
-            for c, x in v.items():
-                ax = a * x
-                for r, y in cols[c]:
-                    out[r] = out.get(r, 0) + ax * y
-    return {r: x for r, x in out.items() if x}
+    return _apply(_terms(actions, coeffs), v)
 
 
 def identity_bimodule(a: Algebra) -> Bimodule:
@@ -449,10 +459,11 @@ def _generator_images(m: Bimodule, n: Bimodule) -> dict[int, dict[int, int]]:
     """
     rows: list[dict[int, Fraction]] = []
     for relation in m.generator.relations:
+        ops = [(_terms(n.left_action, x), _terms(n.right_action, y)) for x, y in relation]
         block: list[dict[int, Fraction]] = [{} for _ in range(n.dim)]
         for c in range(n.dim):
-            for x, y in relation:
-                for r, val in _act(n.left_action, x, _act(n.right_action, y, {c: 1})).items():
+            for left, right in ops:
+                for r, val in _apply(left, _apply(right, {c: 1})).items():
                     block[r][c] = block[r].get(c, 0) + val
         rows += block
     return _echelon(rows, n.dim)
@@ -474,13 +485,14 @@ def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
     # the map sending the generator to v, flattened row-major with the
     # column order reversed: the rref of these rows, read back in the
     # original order, is the kernel basis of the intertwining system
+    ops = [(_terms(n.left_action, x), _terms(n.right_action, y)) for x, y in m.generator.basis]
     flipped = []
     for v in _kernel(_generator_images(m, n), n.dim):
         image = {c: x for c, x in enumerate(v) if x}
         flipped.append({
             size - 1 - (r * m.dim + j): x
-            for j, (x_j, y_j) in enumerate(m.generator.basis)
-            for r, x in _act(n.left_action, x_j, _act(n.right_action, y_j, image)).items()
+            for j, (left, right) in enumerate(ops)
+            for r, x in _apply(left, _apply(right, image)).items()
         })
     maps = []
     reduced = _echelon(flipped, size)
@@ -564,7 +576,8 @@ def decompose_against(m: Bimodule, candidates: list[Bimodule]) -> dict[int, int]
 
 def corner_dim(m: Bimodule, f: list[Fraction], e: list[Fraction]) -> int:
     """dim f·M·e for idempotent coordinate vectors f (left), e (right)."""
-    images = [_act(m.left_action, f, _act(m.right_action, e, {c: 1})) for c in range(m.dim)]
+    left, right = _terms(m.left_action, f), _terms(m.right_action, e)
+    images = [_apply(left, _apply(right, {c: 1})) for c in range(m.dim)]
     return len(_echelon(images, m.dim))
 
 
