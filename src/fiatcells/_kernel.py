@@ -18,10 +18,27 @@ table on one object).
 It reads each triple at most once, and only where the triple can fail.
 A triple with an identity in it holds by the unit law, which
 ``MultiCat.compose_idx`` applies, so no identity is read as h, g or f.
-When star is an involutive anti-automorphism, it carries (h∘g)∘f to
-(f*∘g*)∘h* and h∘(g∘f) to f*∘(g*∘h*), so (h, g, f) fails exactly when
-(f*, g*, h*) does: the kernel then reads only the g with star(g) ≥ g and
-adds the mirror of each violation it finds.
+
+To decide associativity it reads far fewer triples: only those whose
+middle g is one of a generating set.  Read the table as the Q-algebra A
+with basis the morphs, b_g·b_f = Σ c·b_k over the summands of g∘f when
+g, f compose and 0 otherwise; once the ``structure`` check has passed,
+the table is associative exactly when A is.  The middle nucleus
+{y : (x, y, z) = 0 for all x, z} of A, (x, y, z) = (xy)z − x(yz), is a
+subspace, and it is closed under products: with a, b in it, the
+Teichmüller identity x(a,b,y) − (xa,b,y) + (x,ab,y) − (x,a,by) +
+(x,a,b)y = 0 leaves (x, ab, y) = 0 (R. D. Schafer, *An Introduction to
+Nonassociative Algebras*, 1966, §II.2).  Every identity lies in it by
+the unit law.  So if the triples (h, s, f) hold for every s of a set S
+that generates A together with the identities, every triple holds.
+:func:`_generators` picks such an S from the table by unit propagation:
+a product s∘w or w∘s of a generator s and a reached w lies in the
+subalgebra S generates, so when all of its summands but one, k, are
+reached, k is reached too (its multiplicity is non-zero).  On the Hecke
+tables S is the simple reflections, 4 of the 119 non-identities of S5
+(Kazhdan–Lusztig, *Invent. Math.* 53 (1979)).  Only when that
+certificate finds a violation are all non-identity g read, to list
+every violating triple.
 """
 
 from __future__ import annotations
@@ -42,9 +59,9 @@ class _Compiled:
     """Every composable composite of a table, unit law applied, as index arrays.
 
     ``into[o]`` holds the morphs with target o in three runs, each
-    ascending: first the non-identities m with star(m) ≥ m (the first
-    ``mirrored[o]``), then the other non-identities, then the identity of
-    o.  ``rank[m]`` is the place of m in ``into[tgt(m)]``.  ``out_of[o]``
+    ascending: first the generators of :func:`_generators` (the first
+    ``generators[o]``), then the other non-identities, then the identity
+    of o.  ``rank[m]`` is the place of m in ``into[tgt(m)]``.  ``out_of[o]``
     holds the non-identities with source o, ascending, and ``star`` the
     star of each morph.  Composable pairs (g, f) are numbered target
     group by target group: by tgt(g), then g, then f, each in the order
@@ -67,7 +84,7 @@ class _Compiled:
 
     n: int
     into: list[np.ndarray]
-    mirrored: list[int]
+    generators: list[int]
     out_of: list[list[int]]
     star: np.ndarray
     rank: np.ndarray
@@ -85,18 +102,82 @@ class _Compiled:
     c: np.ndarray
 
 
+def _generators(cat) -> list[int]:
+    """A set S of non-identities that generates the table's algebra
+    together with the identities (see the module docstring), in the
+    order picked.
+
+    Candidates are the non-identities by ascending row weight (the sum
+    of the multiplicities of g∘f over all non-identity f), then index.
+    The next candidate not yet reached joins S, and the reached set is
+    closed by unit propagation over the products s∘w and w∘s, s in S
+    and w reached: a product whose summands are all reached but one
+    reaches that one.  A product that misses more waits in ``waiting``
+    under each summand it misses, with their count, until one is left.
+    """
+    morphs = cat.morphs
+    weight = [0] * len(morphs)
+    for (g, f), out in cat.table.items():
+        if not (morphs[g].is_identity or morphs[f].is_identity) and cat.composable(g, f):
+            weight[g] += sum(out.values())
+    reached = [m.is_identity for m in morphs]
+    gens: list[int] = []
+    done: list[int] = []  # reached non-identities, multiplied by every generator
+    found: list[int] = []  # morphs to reach
+    waiting: dict[int, list[list]] = {}  # k: [summands unreached, summands] per product
+
+    def multiply(a: int, b: int) -> None:
+        if not cat.composable(a, b):
+            return
+        out = cat.compose_idx(a, b)
+        missing = [k for k in out if not reached[k]]
+        if len(missing) == 1:
+            found.append(missing[0])
+        elif missing:
+            product = [len(missing), out]
+            for k in missing:
+                waiting.setdefault(k, []).append(product)
+
+    for s in sorted((m.index for m in morphs if not m.is_identity), key=lambda g: (weight[g], g)):
+        if reached[s]:
+            continue
+        gens.append(s)
+        for w in done:
+            multiply(s, w)
+            multiply(w, s)
+        found.append(s)
+        while found:
+            w = found.pop()
+            if reached[w]:
+                continue
+            reached[w] = True
+            for product in waiting.pop(w, ()):
+                product[0] -= 1
+                if product[0] == 1:
+                    found.append(next(k for k in product[1] if not reached[k]))
+            for x in gens:
+                multiply(x, w)
+                if x != w:
+                    multiply(w, x)
+            done.append(w)
+    if not all(reached):
+        raise RuntimeError("generating set leaves a morph unreached")
+    return gens
+
+
 def _compile(cat) -> _Compiled:
     n = len(cat.morphs)
     star = cat.star_map
-    # per target object: the mirrored non-identities, the others, the identity
+    generators = set(_generators(cat))
+    # per target object: the generators, the other non-identities, the identity
     runs: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in cat.objects]
     out_of: list[list[int]] = [[] for _ in cat.objects]
     for m in cat.morphs:
-        mirrored, others, identity = runs[m.tgt.index]
+        gens, others, identity = runs[m.tgt.index]
         if m.is_identity:
             identity.append(m.index)
         else:
-            (mirrored if star[m.index] >= m.index else others).append(m.index)
+            (gens if m.index in generators else others).append(m.index)
             out_of[m.src.index].append(m.index)
     into = [a + b + c for a, b, c in runs]
     rank = [0] * n
@@ -132,7 +213,7 @@ def _compile(cat) -> _Compiled:
     return _Compiled(
         n=n,
         into=[np.array(members, dtype=index) for members in into],
-        mirrored=[len(mirrored) for mirrored, _, _ in runs],
+        generators=[len(gens) for gens, _, _ in runs],
         out_of=out_of,
         star=np.array(star, dtype=index),
         rank=rank_arr,
@@ -174,13 +255,13 @@ def _scatter(ufunc, acc, c, slot, mult, starts, lengths, inner) -> np.ndarray:
     return slots
 
 
-def _rows(t: _Compiled, mirror: bool) -> list[tuple[np.ndarray, list[int]]]:
-    """The (g rows, h rows) the kernel reads, per object: the g with
-    star(g) ≥ g when ``mirror``, every non-identity g otherwise, and every
+def _rows(t: _Compiled, certificate: bool) -> list[tuple[np.ndarray, list[int]]]:
+    """The (g rows, h rows) the kernel reads, per object: the generators
+    when ``certificate``, every non-identity g otherwise, and every
     non-identity h; objects that leave either empty are left out."""
     rows = []
-    for gs, mirrored, hs in zip(t.into, t.mirrored, t.out_of):
-        gs = gs[:mirrored] if mirror else gs[:-1]
+    for gs, generators, hs in zip(t.into, t.generators, t.out_of):
+        gs = gs[:generators] if certificate else gs[:-1]
         if len(gs) and hs:
             rows.append((gs, hs))
     return rows
@@ -199,20 +280,19 @@ def _blocks(t: _Compiled, gs: np.ndarray) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _associativity_violations(t: _Compiled, mirror: bool) -> list[tuple[int, int, int]]:
-    """Every (h, g, f) with (h∘g)∘f != h∘(g∘f), in sorted order.
+def _associativity_violations(t: _Compiled, certificate: bool) -> list[tuple[int, int, int]]:
+    """Every (h, g, f) with (h∘g)∘f != h∘(g∘f), in sorted order, with g
+    among the generators when ``certificate``; that list is empty
+    exactly when the table is associative (see the module docstring).
 
-    ``mirror`` says that star is an involutive anti-automorphism of the
-    table; the kernel then reads only the g with star(g) ≥ g and adds
-    the mirror (f*, g*, h*) of each violation.  For each block of g rows,
-    and for each non-identity h, the terms of (h∘g)∘f, f not an
-    identity, are added into the accumulator and those of h∘(g∘f)
-    subtracted, each at its slot less the block's first slot.  The slots
-    left non-zero name the violating pairs (g, f) and are zeroed for the
-    next block.
+    For each block of g rows, and for each non-identity h, the terms of
+    (h∘g)∘f, f not an identity, are added into the accumulator and those
+    of h∘(g∘f) subtracted, each at its slot less the block's first slot.
+    The slots left non-zero name the violating pairs (g, f) and are
+    zeroed for the next block.
     """
     n, k, c, first, row_len, entry_first = t.n, t.k, t.c, t.first, t.row_len, t.entry_first
-    blocks = [(gs, hs, _blocks(t, gs)) for gs, hs in _rows(t, mirror)]
+    blocks = [(gs, hs, _blocks(t, gs)) for gs, hs in _rows(t, certificate)]
     used = [used for _, _, runs in blocks for _, _, used in runs]
     acc = np.zeros(max(used, default=0), dtype=c.dtype)
     bad = []
@@ -244,9 +324,6 @@ def _associativity_violations(t: _Compiled, mirror: bool) -> list[tuple[int, int
                     acc[slots] = 0
                     for pair in set((slots // n + base).tolist()):
                         bad.append((h, int(t.pair_g[pair]), int(t.pair_f[pair])))
-    if mirror:
-        star = t.star.tolist()
-        bad = set(bad) | {(star[f], star[g], star[h]) for h, g, f in bad}
     return sorted(bad)  # h runs object by object
 
 

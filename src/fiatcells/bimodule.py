@@ -829,10 +829,15 @@ def algebra_from_document(doc: dict) -> Algebra:
 
 
 def load_algebras(source) -> list[Algebra]:
-    """Load {"algebras": [...]} from a path, file object, or JSON text."""
+    """Load {"algebras": [...]} from a path, file object, or JSON text.
+
+    A string is read as JSON text when its first non-blank character
+    opens a JSON object or array, and as a path otherwise, as
+    :func:`fiatcells.model.load_multicat` reads it.
+    """
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    elif isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
         text = source
     else:
         with open(source, "r", encoding="utf-8") as fh:

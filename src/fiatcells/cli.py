@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="bimod_command", required=True)
     bsub.add_parser("verify-quiver", help="check the dual-number quiver relations")
     pb = bsub.add_parser("realize-ca", help="rebuild a projective-functor table from algebras")
-    pb.add_argument("--algebras", required=True)
+    pb.add_argument("--algebras", required=True, help="algebras JSON path, or - for stdin")
     pb.add_argument("--max-dim", type=int, default=4096)
     ph = bsub.add_parser("hom", help="basis of a bimodule hom space")
     ph.add_argument("--m", required=True)
@@ -304,7 +304,7 @@ def _dispatch_bimod(args) -> int:
         return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
     if args.bimod_command == "realize-ca":
-        algebras = bimodule.load_algebras(args.algebras)
+        algebras = bimodule.load_algebras(sys.stdin if args.algebras == "-" else args.algebras)
         cat = bimodule.realize_CA(algebras, max_dim=args.max_dim)
         sys.stdout.write(serialize_multicat(cat))
         return EXIT_OK

@@ -8,6 +8,7 @@ full lint battery; the tests enforce this.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -79,6 +80,19 @@ def make_sl2_singular() -> MultiCat:
 # Cartan data
 
 
+def _entry(x, t: int, a: int, b: int) -> int:
+    """Pairing entry [a][b] of component t as an int; no float or string is
+    truncated or parsed, and a bool is not taken for 0 or 1."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError(
+        f"component {t}: entry [{a}][{b}] must be an integer, got {type(x).__name__} {x!r}"
+    )
+
+
 @dataclass(frozen=True)
 class CartanData:
     """Symmetric pairing matrices, one per connected component.
@@ -94,7 +108,10 @@ class CartanData:
     components: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __init__(self, components):
-        frozen = tuple(tuple(tuple(int(x) for x in row) for row in comp) for comp in components)
+        frozen = tuple(
+            tuple(tuple(_entry(x, t, a, b) for b, x in enumerate(row)) for a, row in enumerate(comp))
+            for t, comp in enumerate(components)
+        )
         object.__setattr__(self, "components", frozen)
         self._check()
 

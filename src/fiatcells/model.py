@@ -363,17 +363,33 @@ def multicat_from_document(doc: dict) -> MultiCat:
     for lab in star_doc:
         resolve(lab, "star (key)")
 
+    # a str that names a morph resolves by one lookup; anything else, and
+    # every other miss below, goes through resolve and _expect, which
+    # raise with the field path
+    index_of = {m.label: m.index for m in morphs}
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i, entry in enumerate(_expect(doc["compose"], list, "compose")):
         at = f"compose[{i}]"
         _expect(entry, dict, at)
         g, f, terms = _field(entry, "g", at), _field(entry, "f", at), _field(entry, "out", at)
-        g = resolve(g, f"{at}.g")
-        f = resolve(f, f"{at}.f")
-        if (g.index, f.index) in table:
-            raise TableFormatError(f"{at}: duplicate entry for ({g.label!r}, {f.label!r})")
+        g = index_of.get(g) if isinstance(g, str) else None
+        if g is None:
+            g = resolve(entry["g"], f"{at}.g").index
+        f = index_of.get(f) if isinstance(f, str) else None
+        if f is None:
+            f = resolve(entry["f"], f"{at}.f").index
+        if (g, f) in table:
+            raise TableFormatError(
+                f"{at}: duplicate entry for ({morphs[g].label!r}, {morphs[f].label!r})"
+            )
         out: dict[int, int] = {}
         for j, term in enumerate(_expect(terms, list, f"{at}.out")):
+            if isinstance(term, dict):
+                m, mult = term.get("m", ""), term.get("mult", 1)
+                k = index_of.get(m) if isinstance(m, str) else None
+                if k is not None and type(mult) is int and mult > 0 and k not in out:
+                    out[k] = mult
+                    continue
             where = f"{at}.out[{j}]"
             _expect(term, dict, where)
             m = resolve(term.get("m", ""), f"{where}.m")
@@ -385,7 +401,7 @@ def multicat_from_document(doc: dict) -> MultiCat:
             if m.index in out:
                 raise TableFormatError(f"{where}: repeated summand {m.label!r}")
             out[m.index] = mult
-        table[(g.index, f.index)] = out
+        table[(g, f)] = out
     return MultiCat(objects, morphs, star, table)
 
 
@@ -516,22 +532,32 @@ def validate(cat: MultiCat) -> ValidationReport:
     * ``star-ends``: star swaps src and tgt.
     * ``star-anti-automorphism``: star(G∘F) = star(F)∘star(G) elementwise.
 
-    Associativity is settled for every composable triple, but only the
-    triples that can fail are expanded.  A triple with an identity in it
-    holds by the unit law, which composition applies whatever is stored.
-    When no ``star-*`` law fails, star carries (H∘G)∘F to (F*∘G*)∘H* and
-    H∘(G∘F) to F*∘(G*∘H*), so (H, G, F) fails exactly when (F*, G*, H*)
-    does: only the G with star(G) ≥ G (by index) are read, and each
-    violation found brings its mirror; otherwise every non-identity G is
-    read.  The triples are checked by one sparse scatter-add kernel over
-    the table compiled into index arrays (once per table; see
+    Associativity is settled for every composable triple, but only a
+    few are expanded.  A triple with an identity in it holds by the unit
+    law, which composition applies whatever is stored.  The others are
+    read first only with G in a set S of generators: over Q the table is
+    an algebra with basis the morphs (non-composable products 0, which
+    is where the ``structure`` check is needed), and its middle nucleus
+    {Y : (X∘Y)∘Z = X∘(Y∘Z) for all X, Z} is closed under linear
+    combinations and under composition (the Teichmüller identity; R. D.
+    Schafer, *An Introduction to Nonassociative Algebras*, 1966, §II.2)
+    and holds every identity (the unit law).  So once every (H, S, F)
+    holds, every triple does.  S is picked from the table: candidates by
+    ascending row weight, each one not yet reached joins S, and a
+    product of a generator and a reached morph whose summands are all
+    reached but one reaches that one, as its multiplicity is non-zero.
+    On the Hecke tables S is the simple reflections.  Only when a
+    (H, S, F) fails is every non-identity G read, to list every
+    violation.  The triples are checked by one sparse scatter-add kernel
+    over the table compiled into index arrays (once per table; see
     ``fiatcells._kernel``).  It is exact: the multiplicity of a summand
     on either side is a sum of at most n products of two
     multiplicities, so sums are int64 when 2·n·max(mult)² < 2^63 proves
-    that none can overflow (n morphisms), and Python ints otherwise.  It runs only when no
-    ``structure`` violation was found, and lists violations in sorted
-    (H, G, F) order.  ``star-anti-automorphism`` is checked on the same
-    arrays once star is an involution that swaps ends.
+    that none can overflow (n morphisms), and Python ints otherwise.  It
+    runs only when no ``structure`` violation was found, and lists
+    violations in sorted (H, G, F) order.  ``star-anti-automorphism`` is
+    checked on the same arrays once star is an involution that swaps
+    ends.
     """
     report = ValidationReport()
     morphs = cat.morphs
@@ -578,8 +604,7 @@ def validate(cat: MultiCat) -> ValidationReport:
 
     _check_star(cat, report)
     if not any(v.law == "structure" for v in report.violations):
-        mirror = not any(v.law.startswith("star-") for v in report.violations)
-        _check_associativity(cat, report, mirror)
+        _check_associativity(cat, report)
     return report
 
 
@@ -631,10 +656,13 @@ def _triple_sides(cat: MultiCat, h: int, g: int, f: int) -> tuple[dict, dict]:
     return lhs, rhs
 
 
-def _check_associativity(cat: MultiCat, report: ValidationReport, mirror: bool) -> None:
+def _check_associativity(cat: MultiCat, report: ValidationReport) -> None:
     from ._kernel import _associativity_violations
 
-    for (h, g, f) in _associativity_violations(cat._compiled_form(), mirror):
+    t = cat._compiled_form()
+    if not _associativity_violations(t, certificate=True):
+        return
+    for (h, g, f) in _associativity_violations(t, certificate=False):
         lhs, rhs = _triple_sides(cat, h, g, f)
         report.violations.append(
             Violation(

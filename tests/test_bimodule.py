@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fiatcells import (
     DecompositionError,
+    TableFormatError,
     cartan_of,
     decompose_against,
     dual_numbers,
@@ -253,6 +254,14 @@ def test_load_algebras_fixture():
     algebras = load_algebras(FIXTURES / "algebras_qd.json")
     assert [a.name for a in algebras] == ["Q", "D"]
     assert realize_CA(algebras) == make_CA([[1]], [[2]])
+
+
+def test_load_algebras_reads_json_text_like_load_multicat():
+    text = (FIXTURES / "algebras_qd.json").read_text(encoding="utf-8")
+    assert [a.name for a in load_algebras("\n " + text)] == ["Q", "D"]
+    # an array is JSON text too, not a path
+    with pytest.raises(TableFormatError, match="document root must be a JSON object"):
+        load_algebras("[]")
 
 
 # ---------------------------------------------------------------------------

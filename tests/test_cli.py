@@ -59,8 +59,8 @@ def test_lint_text_golden(capsys):
 @pytest.mark.parametrize("command", ["validate", "lint"])
 @pytest.mark.parametrize("fixture", ["badstar", "nonassoc"])
 def test_invalid_table_text_golden(capsys, command, fixture):
-    # badstar breaks the star laws, so the kernel reads every triple;
-    # nonassoc keeps them, so it reads one triple of each mirrored pair
+    # badstar breaks only the star laws, so the certificate reads clean;
+    # nonassoc breaks associativity, so the kernel then lists every triple
     code, out, _ = invoke(capsys, command, str(FIXTURES / f"{fixture}.json"))
     assert code == 2
     assert out == (GOLDEN / f"{command}_{fixture}.txt").read_text(encoding="utf-8")
@@ -202,6 +202,22 @@ def test_bimod_realize_ca_matches_gen(capsys):
     assert code == 0
     code, out2, _ = invoke(capsys, "gen", "ca", "--cartan", str(FIXTURES / "cartan_12.json"))
     assert code == 0 and out1 == out2
+
+
+def test_bimod_realize_ca_reads_algebras_from_stdin(capsys, monkeypatch):
+    path = FIXTURES / "algebras_qd.json"
+    code, want, _ = invoke(capsys, *_REALIZE, str(path))
+    assert code == 0
+    text = path.read_text(encoding="utf-8")
+    code, out, err = invoke_stdin(capsys, monkeypatch, text, *_REALIZE, "-")
+    assert (code, out, err) == (0, want, "")
+
+
+def test_bimod_realize_ca_array_on_stdin_is_not_a_path(capsys, monkeypatch):
+    code, out, err = invoke_stdin(capsys, monkeypatch, "[]\n", *_REALIZE, "-")
+    assert code == 1 and out == ""
+    assert "error: document root must be a JSON object, got array" in err
+    assert "No such file" not in err
 
 
 def test_bimod_hom(capsys):

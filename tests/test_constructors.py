@@ -46,6 +46,23 @@ def test_cartan_data_validation():
         CartanData([[[1, -1], [-1, 1]]])
 
 
+@pytest.mark.parametrize("entry", [2.7, "2", True])
+def test_cartan_data_rejects_non_integer_entries(entry):
+    with pytest.raises(TypeError, match=r"component 0: entry \[0\]\[1\] must be an integer"):
+        CartanData([[[2, entry], [1, 2]]])
+    with pytest.raises(TypeError, match=r"component 0: entry \[0\]\[0\]"):
+        make_CA([[entry]])
+
+
+def test_cartan_data_takes_numpy_integers():
+    import numpy as np
+
+    data = CartanData([np.array([[2, 1], [1, 2]], dtype=np.int64)])
+    assert data.components == (((2, 1), (1, 2)),)
+    assert all(type(x) is int for row in data.components[0] for x in row)
+    assert make_CA(data) == make_CA([[2, 1], [1, 2]])
+
+
 def test_make_ca_merges_one_dimensional_components():
     cat = make_CA([[1]], [[2]])
     assert len(cat.morphs) == 5

@@ -196,33 +196,56 @@ def brute_force_violations(cat):
     ]
 
 
-def star_holds(cat):
-    """Whether the star laws hold, so that validate runs the mirror path."""
-    from fiatcells.model import ValidationReport, _check_star
-
-    report = ValidationReport()
-    _check_star(cat, report)
-    return report.ok
-
-
-def kernel_associativity(cat, mirror=None):
-    """The kernel's violations, in the mode validate picks unless ``mirror`` is given."""
+def kernel_associativity(cat, certificate=False):
+    """The kernel's violations: the listing, or with ``certificate`` only
+    those whose middle g is a generator."""
     from fiatcells import _kernel
 
-    if mirror is None:
-        mirror = star_holds(cat)
-    return _kernel._associativity_violations(cat._compiled_form(), mirror)
+    return _kernel._associativity_violations(cat._compiled_form(), certificate)
 
 
-def test_associativity_kernel_matches_brute_force(hecke3):
-    tables = stored_tables() + [("hecke3", hecke3)]
+def assert_kernel_matches(cat, want, name=""):
+    """The listing is ``want``, the brute-force list, and the certificate
+    is part of it, empty exactly when ``want`` is."""
+    assert kernel_associativity(cat) == want, name
+    certificate = kernel_associativity(cat, certificate=True)
+    assert set(certificate) <= set(want), name
+    assert bool(certificate) == bool(want), name
+
+
+def test_associativity_kernel_matches_brute_force(hecke3, hecke4):
+    tables = stored_tables() + [("hecke3", hecke3), ("hecke4", hecke4)]
     assert {"nonassoc.json", "cartan_12.json", "sl2.json"} <= {name for name, _ in tables}
     found = 0
     for name, cat in tables:
         want = brute_force_associativity(cat)
-        assert kernel_associativity(cat) == want, name
+        assert_kernel_matches(cat, want, name)
         found += len(want)
     assert found  # nonassoc.json has bad triples
+
+
+def simple_reflections(n):
+    """The labels of b_s, s a simple reflection of S_n, in make_hecke's notation."""
+    labels = []
+    for i in range(1, n):
+        word = list(range(1, n + 1))
+        word[i - 1], word[i] = word[i], word[i - 1]
+        labels.append("theta_" + "".join(map(str, word)))
+    return labels
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generators_of_hecke_tables_are_the_simple_reflections(n):
+    from fiatcells import make_hecke
+    from fiatcells._kernel import _generators
+
+    cat = make_hecke(n)
+    got = [cat.morphs[g].label for g in _generators(cat)]
+    assert sorted(got) == sorted(simple_reflections(n))
+    # they lead the one target group, and only they are read as g
+    t = cat._compiled_form()
+    assert t.generators == [n - 1]
+    assert sorted(cat.morphs[g].label for g in t.into[0][: n - 1].tolist()) == sorted(got)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -240,7 +263,7 @@ def test_associativity_kernel_on_perturbed_cartan_tables(seed, bumps):
         e = doc["compose"][entry % len(doc["compose"])]
         e["out"][term % len(e["out"])]["mult"] += by
     cat = load_multicat(doc)
-    assert kernel_associativity(cat) == brute_force_associativity(cat)
+    assert_kernel_matches(cat, brute_force_associativity(cat))
 
 
 def star_bumped(cat, bumps):
@@ -269,24 +292,22 @@ def star_bumped(cat, bumps):
         max_size=3,
     ),
 )
-def test_associativity_mirror_path_on_star_consistent_bumps(
-    hecke3, hecke4, table, seed, bumps
-):
+def test_associativity_on_star_consistent_bumps(hecke3, hecke4, table, seed, bumps):
     if table == "cartan":
         base = make_CA(random_cartan_data(random.Random(seed), 2, 2, 3))
     else:
         base = {"hecke3": hecke3, "hecke4": hecke4}[table]
     cat = star_bumped(base, bumps)
     report = validate(cat)
-    # no star law fails, so the kernel read one triple of each mirrored pair
     assert not any(law.startswith("star-") for law in report.laws())
     got = [(v.witness, v.detail) for v in report.violations if v.law == "associativity"]
     assert got == brute_force_violations(cat)
+    assert_kernel_matches(cat, brute_force_associativity(cat))
 
 
 def test_associativity_with_broken_star_reads_every_triple(hecke3):
     # one bump without its mirror breaks star and associativity at once;
-    # the full list must come back, not only one triple of each pair
+    # the full list must come back
     cat = bumped(hecke3)
     report = validate(cat)
     assert report.laws() == ["associativity", "star-anti-automorphism"]
@@ -297,6 +318,27 @@ def test_associativity_with_broken_star_reads_every_triple(hecke3):
     star = cat.star_map
     bad = brute_force_associativity(cat)
     assert any((star[f], star[g], star[h]) not in bad for h, g, f in bad)
+
+
+def test_associativity_bump_away_from_the_generators(hecke4):
+    # raise one summand of b_x∘b_y, neither x nor y a generator: the
+    # certificate still finds a violation, and validate lists them all
+    from fiatcells._kernel import _generators
+
+    generators = {hecke4.morphs[g].label for g in _generators(hecke4)}
+    doc = multicat_to_document(hecke4)
+    entry = next(
+        e for e in doc["compose"]
+        if e["g"] not in generators and e["f"] not in generators and len(e["out"]) > 1
+    )
+    entry["out"][0]["mult"] += 1
+    cat = load_multicat(doc)
+    want = brute_force_associativity(cat)
+    assert want and any(cat.morphs[g].label not in generators for _, g, _ in want)
+    assert kernel_associativity(cat, certificate=True)
+    report = validate(cat)
+    got = [(v.witness, v.detail) for v in report.violations if v.law == "associativity"]
+    assert got == brute_force_violations(cat)
 
 
 def bumped(cat, by=1, scale=1):
@@ -322,6 +364,8 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
             ("cartan*2^31+1", bumped(cartan, scale=2**31))]
     assert all(cat._compiled_form().c.dtype == object for _, cat in huge)
     tables = stored_tables() + huge + [
+        ("hecke3", hecke3),
+        ("hecke4", hecke4),
         ("hecke3+1", bumped(hecke3)),
         ("hecke4+1", bumped(hecke4)),
         ("hecke4+star", star_bumped(hecke4, [(7, 1, 1), (40, 0, 2)])),
@@ -330,17 +374,14 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
     want = {name: brute_force_associativity(cat) for name, cat in tables}
     assert want["cartan*2^31"] == [] and want["cartan*2^31+1"] and want["hecke4+1"]
     assert want["hecke4+star"] and want["cartan*2^31+star"]
-    # the mirror mode is sound only where the star laws hold
-    modes = {name: (False, True) if star_holds(cat) else (False,) for name, cat in tables}
-    assert modes["hecke4+star"] == modes["cartan*2^31+star"] == (False, True)
-    assert modes["hecke4+1"] == (False,)
     for budget in (1, 2**30):
         monkeypatch.setattr(_kernel, "_SLOT_BUDGET", budget)
         for name, cat in tables:
             t = cat._compiled_form()
-            for mirror in modes[name]:
+            generators = set(_kernel._generators(cat))
+            for certificate in (False, True):
                 read = set()
-                for gs, hs in _kernel._rows(t, mirror):
+                for gs, hs in _kernel._rows(t, certificate):
                     # g rows: a prefix of their target group, which the
                     # identity closes; neither g nor h is an identity
                     into = t.into[cat.morphs[int(gs[0])].tgt.index].tolist()
@@ -353,13 +394,13 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
                     runs = _kernel._blocks(t, gs)
                     assert len(runs) == (len(gs) if budget == 1 else 1)
                 # every non-identity g that a non-identity h can follow, or
-                # in the mirror mode those with star(g) >= g
+                # for the certificate every such generator
                 assert read == {
                     g.index for g in cat.morphs
-                    if not g.is_identity and (not mirror or cat.star_map[g.index] >= g.index)
+                    if not g.is_identity and (not certificate or g.index in generators)
                     and any(not h.is_identity and h.src == g.tgt for h in cat.morphs)
-                }, (name, mirror)
-                assert kernel_associativity(cat, mirror) == want[name], (name, budget, mirror)
+                }, (name, certificate)
+            assert_kernel_matches(cat, want[name], (name, budget))
 
 
 def test_associativity_is_exact_beyond_int64():
