@@ -115,21 +115,25 @@ def _generators(cat) -> list[int]:
     reaches that one.  A product that misses more waits in ``waiting``
     under each summand it misses, with their count, until one is left.
     """
-    morphs = cat.morphs
+    morphs, table = cat.morphs, cat.table
+    src = [m.src.index for m in morphs]
+    tgt = [m.tgt.index for m in morphs]
+    identity = [m.is_identity for m in morphs]
     weight = [0] * len(morphs)
-    for (g, f), out in cat.table.items():
-        if not (morphs[g].is_identity or morphs[f].is_identity) and cat.composable(g, f):
+    for (g, f), out in table.items():
+        if not (identity[g] or identity[f]) and src[g] == tgt[f]:
             weight[g] += sum(out.values())
-    reached = [m.is_identity for m in morphs]
+    reached = list(identity)
     gens: list[int] = []
-    done: list[int] = []  # reached non-identities, multiplied by every generator
+    # the generators, and the reached non-identities already multiplied
+    # by every generator, by source and by target object
+    gens_from, gens_to, done_from, done_to = ([[] for _ in cat.objects] for _ in range(4))
     found: list[int] = []  # morphs to reach
     waiting: dict[int, list[list]] = {}  # k: [summands unreached, summands] per product
 
     def multiply(a: int, b: int) -> None:
-        if not cat.composable(a, b):
-            return
-        out = cat.compose_idx(a, b)
+        # a∘b composes and neither is an identity: the stored entry, or 0
+        out = table.get((a, b), ())
         missing = [k for k in out if not reached[k]]
         if len(missing) == 1:
             found.append(missing[0])
@@ -142,8 +146,11 @@ def _generators(cat) -> list[int]:
         if reached[s]:
             continue
         gens.append(s)
-        for w in done:
+        gens_from[src[s]].append(s)
+        gens_to[tgt[s]].append(s)
+        for w in done_to[src[s]]:
             multiply(s, w)
+        for w in done_from[tgt[s]]:
             multiply(w, s)
         found.append(s)
         while found:
@@ -155,11 +162,13 @@ def _generators(cat) -> list[int]:
                 product[0] -= 1
                 if product[0] == 1:
                     found.append(next(k for k in product[1] if not reached[k]))
-            for x in gens:
+            for x in gens_from[tgt[w]]:
                 multiply(x, w)
+            for x in gens_to[src[w]]:
                 if x != w:
                     multiply(w, x)
-            done.append(w)
+            done_from[src[w]].append(w)
+            done_to[tgt[w]].append(w)
     if not all(reached):
         raise RuntimeError("generating set leaves a morph unreached")
     return gens
@@ -195,11 +204,12 @@ def _compile(cat) -> _Compiled:
                 pair_g.append(g)
                 pair_f.append(f)
                 outs.append(cat.compose_idx(g, f))
+    terms = [term for out in outs for term in sorted(out.items())]  # (k, c) by pair, then k
     # a slot is pair * n + m < pairs * n; offsets stay below it too
     index = np.int32 if len(outs) * n < 2**31 else np.int64
     # a side of one (h, g, f, m) sums at most n products of two entries,
     # and the accumulator holds the left side less a part of the right
-    biggest = max(max(out.values(), default=1) for out in outs)
+    biggest = max((c for _, c in terms), default=1)
     exact = np.int64 if 2 * n * biggest * biggest < 2**63 else object
     sizes = np.fromiter(map(len, outs), dtype=index, count=len(outs))
     entries = np.concatenate(([0], np.cumsum(sizes))).astype(index)
@@ -209,7 +219,7 @@ def _compile(cat) -> _Compiled:
     pair_count = np.array([len(into[m.src.index]) for m in cat.morphs], dtype=index)
     first = entries[pair_first]
     p = np.repeat(np.arange(len(outs), dtype=index), sizes)
-    k = np.fromiter((k for out in outs for k in sorted(out)), dtype=index, count=entries[-1])
+    k = np.fromiter((k for k, _ in terms), dtype=index, count=len(terms))
     return _Compiled(
         n=n,
         into=[np.array(members, dtype=index) for members in into],
@@ -229,9 +239,7 @@ def _compile(cat) -> _Compiled:
         k=k,
         fm=rank_arr[pair_f_arr[p]] * n + k,
         lead=pair_first[pair_f_arr[p]] * n,
-        c=np.fromiter(
-            (out[k] for out in outs for k in sorted(out)), dtype=exact, count=entries[-1]
-        ),
+        c=np.fromiter((c for _, c in terms), dtype=exact, count=len(terms)),
     )
 
 
