@@ -9,18 +9,25 @@ v*Z[v]; its coefficients encode the classical polynomials P_{x,w} via
 
     h_{x,w}(v) = v^{l(w) - l(x)} * P_{x,w}(q)|_{q = v^-2}.
 
-Two independent routes are implemented:
+Every P and every mu comes from one cached column per w, :func:`_column`:
+the map x -> P_{x,w} over the Bruhat interval [e, w], and the z with
+mu(z, w) != 0.  With s the first left descent of w and v = sw, the
+recursion of Kazhdan-Lusztig 1979, (2.2.c), reads
 
-* :func:`kl_polynomial` runs the classical recursion over Bruhat order
-  with a left-descent pivot and mu-coefficient corrections; the basis
-  assembled from it is :func:`canonical_basis`.
-* :func:`canonical_basis_by_bar_invariance` never touches the
-  recursion: it builds candidates from products b_s * b_u, peels
-  bar-symmetric corrections, and then *verifies* bar-invariance,
-  unitriangularity and the positive-degree condition by direct
-  computation in the algebra.
+    P_{x,w} = q^(1-c) P_{sx,v} + q^c P_{x,v}
+              - sum_{z : sz<z} mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
 
-The second route certifies the first in the test suite.
+with c = 1 if sx < x, else 0.  Bruhat order needs no test: by the
+lifting property x <= w iff x or sx is <= v, so the keys of the column
+of w are those of v and their images under s.  Columns are lazy, so a
+short w in a large S_n touches only its own interval.
+
+:func:`canonical_basis` assembles the basis from the columns.  The
+independent :func:`canonical_basis_by_bar_invariance` never touches
+them: it builds candidates from products b_s * b_u, peels bar-symmetric
+corrections, and then *verifies* bar-invariance, unitriangularity and
+the positive-degree condition by direct computation in the algebra.
+The test suite compares the two for n <= 5; that certifies the columns.
 
 Structure constants come two ways.  :func:`kl_structure_constants`
 expands every product b_x b_y in the canonical basis over Laurent
@@ -35,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .permutations import Permutation, all_permutations, bruhat_leq
+from .permutations import Permutation, all_permutations
 
 __all__ = [
     "kl_polynomial",
@@ -48,10 +55,10 @@ __all__ = [
 
 PermKey = tuple[int, ...]
 Vector = dict[PermKey, LaurentPoly]  # element of the algebra in the H basis
+Column = dict[PermKey, tuple[int, ...]]  # x -> coefficients of P_{x,w}, from q^0 up
 
 _V = LaurentPoly.var(1)
 _VINV = LaurentPoly.var(-1)
-_Q = LaurentPoly.var(1)  # the classical variable, in its own grading
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +72,56 @@ def _length(key: PermKey) -> int:
 
 
 # ---------------------------------------------------------------------------
-# classical recursion
+# Kazhdan-Lusztig polynomials, one column per w
+
+
+def _swap(s: int, x: PermKey) -> PermKey:
+    """s x: swap the values s and s+1."""
+    return tuple(s + 1 if a == s else s if a == s + 1 else a for a in x)
+
+
+def _descends(s: int, x: PermKey) -> bool:
+    """sx < x: s+1 stands left of s."""
+    return x.index(s) > x.index(s + 1)
+
+
+@lru_cache(maxsize=None)
+def _column(w: PermKey) -> tuple[Column, dict[PermKey, int]]:
+    """P_{x,w} for every x <= w, and mu(z, w) for every z with mu(z, w) != 0."""
+    s = next((s for s in range(1, len(w)) if _descends(s, w)), None)
+    if s is None:
+        return {w: (1,)}, {}
+    v = _swap(s, w)
+    col_v, mu_v = _column(v)
+    acc: dict[PermKey, list[int]] = {}
+
+    def add(x: PermKey, p: tuple[int, ...], shift: int, m: int) -> None:
+        a = acc.setdefault(x, [])
+        a.extend([0] * (len(p) + shift - len(a)))
+        for i, c in enumerate(p, shift):
+            a[i] += m * c
+
+    # y <= v feeds q^c P_{y,v} to both y and sy, with c = 1 if sy < y
+    for y, p in col_v.items():
+        c = int(_descends(s, y))
+        add(y, p, c, 1)
+        add(_swap(s, y), p, c, 1)
+    lw = _length(w)
+    for z, m in mu_v.items():
+        if _descends(s, z):
+            power = (lw - _length(z)) // 2
+            for x, p in _column(z)[0].items():
+                add(x, p, power, -m)
+    col: Column = {}
+    mu: dict[PermKey, int] = {}
+    for x, a in acc.items():
+        while a and not a[-1]:
+            a.pop()
+        col[x] = tuple(a)
+        gap = lw - _length(x)
+        if gap % 2 and len(a) > gap // 2 and a[gap // 2]:
+            mu[x] = a[gap // 2]
+    return col, mu
 
 
 def kl_polynomial(n: int, x: Permutation, w: Permutation) -> LaurentPoly:
@@ -77,44 +133,11 @@ def kl_polynomial(n: int, x: Permutation, w: Permutation) -> LaurentPoly:
     """
     if x.n != n or w.n != n:
         raise ValueError("permutation size does not match n")
-    p = _kl(n, x.one_line, w.one_line)
+    p = LaurentPoly(dict(enumerate(_column(w.one_line)[0].get(x.one_line, ()))))
     if x.one_line != w.one_line and p:
         if 2 * p.max_exp() > w.length() - x.length() - 1:
             raise ArithmeticError(f"degree bound violated for P({x.one_line},{w.one_line})")
     return p
-
-
-@lru_cache(maxsize=None)
-def _kl(n: int, x: PermKey, w: PermKey) -> LaurentPoly:
-    if not _bruhat(x, w):
-        return LaurentPoly.zero()
-    if x == w:
-        return LaurentPoly.one()
-    pw = Permutation(w)
-    s = pw.left_descents()[0]
-    sw = pw.left_mul_simple(s).one_line
-    px = Permutation(x)
-    sx = px.left_mul_simple(s).one_line
-    if _length(sx) > _length(x):
-        # s-descent mismatch collapses the pair one step up
-        return _kl(n, sx, w)
-    result = _kl(n, sx, sw) + _Q * _kl(n, x, sw)
-    for z in _group(n):
-        zk = z.one_line
-        if not (_bruhat(x, zk) and _bruhat(zk, sw)):
-            continue
-        if z.left_mul_simple(s).length() > z.length():
-            continue
-        m = _mu(n, zk, sw)
-        if m:
-            power = (_length(w) - _length(zk)) // 2
-            result = result - LaurentPoly({power: m}) * _kl(n, x, zk)
-    return result
-
-
-@lru_cache(maxsize=None)
-def _bruhat(x: PermKey, w: PermKey) -> bool:
-    return bruhat_leq(Permutation(x), Permutation(w))
 
 
 def mu_coefficient(n: int, z: Permutation, y: Permutation) -> int:
@@ -123,10 +146,8 @@ def mu_coefficient(n: int, z: Permutation, y: Permutation) -> int:
 
 
 def _mu(n: int, z: PermKey, y: PermKey) -> int:
-    gap = _length(y) - _length(z)
-    if gap <= 0 or gap % 2 == 0:
-        return 0
-    return _kl(n, z, y).coeff((gap - 1) // 2)
+    """mu(z, y), read from the column of y; every reader of mu goes through here."""
+    return _column(y)[1].get(z, 0)
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +176,7 @@ def kl_structure_constants_at_one(n: int) -> dict[tuple[PermKey, PermKey], dict[
     length = [_length(k) for k in keys]
     # s_i w for every generator i and every w, by index
     left = {s: [index[w.left_mul_simple(s).one_line] for w in group] for s in range(1, n)}
-    mu = [[(j, m) for j in range(i) if (m := _mu(n, keys[j], keys[i]))] for i in range(len(keys))]
+    mu = [sorted((index[z], m) for z in _column(y)[0] if (m := _mu(n, z, y))) for y in keys]
     # act[s][w]: b_s b_w as (z, coefficient) pairs, the rule above
     act = {
         s: [
@@ -230,30 +251,20 @@ def _add_scaled(acc: Vector, scale: LaurentPoly, vec: Vector) -> None:
             del acc[w]
 
 
-def _vec_sub_scaled(acc: Vector, scale: LaurentPoly, vec: Vector) -> None:
-    _add_scaled(acc, -scale, vec)
-
-
 # ---------------------------------------------------------------------------
 # canonical basis from the recursion
 
 
 @lru_cache(maxsize=None)
 def canonical_basis(n: int) -> dict[PermKey, Vector]:
-    """b_w in the H basis, coefficients h_{x,w}(v), from kl_polynomial."""
+    """b_w in the H basis, coefficients h_{x,w}(v), from the columns."""
     basis: dict[PermKey, Vector] = {}
     for w in _group(n):
-        vec: Vector = {}
         lw = w.length()
-        for x in _group(n):
-            if not _bruhat(x.one_line, w.one_line):
-                continue
-            p = _kl(n, x.one_line, w.one_line)
-            shift = lw - x.length()
-            h = LaurentPoly({shift - 2 * e: c for e, c in p.coeffs.items()})
-            if h:
-                vec[x.one_line] = h
-        basis[w.one_line] = vec
+        basis[w.one_line] = {
+            x: LaurentPoly({lw - _length(x) - 2 * e: c for e, c in enumerate(p)})
+            for x, p in _column(w.one_line)[0].items()
+        }
     return basis
 
 
@@ -317,7 +328,7 @@ def canonical_basis_by_bar_invariance(n: int) -> dict[PermKey, Vector]:
             if c is None or not c or c.only_positive_exps():
                 continue
             correction = c.nonpositive_part_symmetrized()
-            _vec_sub_scaled(cand, correction, basis[x])
+            _add_scaled(cand, -correction, basis[x])
         if cand.get(w.one_line) != LaurentPoly.one():
             raise ArithmeticError(f"candidate for {w.one_line} is not unitriangular")
         for x, c in cand.items():
@@ -365,7 +376,7 @@ def kl_structure_constants(n: int) -> dict[tuple[PermKey, PermKey], Vector]:
                 if c is None or not c:
                     continue
                 coeffs[z] = c
-                _vec_sub_scaled(prod, c, basis[z])
+                _add_scaled(prod, -c, basis[z])
             if prod:
                 raise ArithmeticError("product failed to resolve in the canonical basis")
             for z, c in coeffs.items():

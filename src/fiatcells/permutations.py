@@ -5,7 +5,8 @@ A permutation of {1..n} is a tuple ``w`` with ``w[i-1] = w(i)``.  The
 simple reflections are the adjacent transpositions s_1 .. s_{n-1};
 ``s_i * w`` swaps the *values* i, i+1 and ``w * s_i`` swaps the entries
 in positions i, i+1.  Length is the inversion count, and Bruhat order
-is decided by the standard descent recursion.
+is decided by the tableau criterion (Bjorner-Brenti, *Combinatorics of
+Coxeter Groups*, Thm 2.6.3).
 
 >>> w = Permutation((3, 1, 2))
 >>> w.length()
@@ -17,7 +18,6 @@ Permutation((2, 3, 1))
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 
 __all__ = ["Permutation", "all_permutations", "bruhat_leq"]
@@ -117,24 +117,11 @@ def all_permutations(n: int) -> list[Permutation]:
     return perms
 
 
-@lru_cache(maxsize=None)
-def _bruhat_leq(x: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    px, pw = Permutation(x), Permutation(w)
-    lx, lw = px.length(), pw.length()
-    if lx > lw:
-        return False
-    if lx == lw:
-        return x == w
-    s = pw.left_descents()[0]
-    sw = pw.left_mul_simple(s).one_line
-    sx = px.left_mul_simple(s)
-    if sx.length() < lx:
-        return _bruhat_leq(sx.one_line, sw)
-    return _bruhat_leq(x, sw)
-
-
 def bruhat_leq(x: Permutation, w: Permutation) -> bool:
-    """Bruhat order via the left-descent recursion."""
+    """Bruhat order: x <= w iff every sorted prefix of x is entrywise <= that of w."""
     if x.n != w.n:
         raise ValueError("Bruhat order compares permutations of equal size")
-    return _bruhat_leq(x.one_line, w.one_line)
+    a, b = x.one_line, w.one_line
+    return all(
+        i <= j for k in range(1, len(a)) for i, j in zip(sorted(a[:k]), sorted(b[:k]))
+    )

@@ -183,8 +183,7 @@ def _clear_hecke_caches() -> None:
         klbasis.kl_structure_constants_at_one,
         klbasis.canonical_basis,
         klbasis.canonical_basis_by_bar_invariance,
-        klbasis._kl,
-        klbasis._bruhat,
+        klbasis._column,
         klbasis._bar_of_standard,
     ):
         cached.cache_clear()

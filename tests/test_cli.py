@@ -178,6 +178,11 @@ def test_klpoly_output(capsys):
     code, out, _ = invoke(capsys, "klpoly", "--n", "4", "--x", "1 3 2 4", "--w", "3 4 1 2")
     assert code == 0
     assert out.strip().endswith("= 1 + q")
+    # the same pair padded into S_9 reads only its own Bruhat interval
+    code, out, _ = invoke(capsys, "klpoly", "--n", "9", "--x", "1 3 2 4 5 6 7 8 9",
+                          "--w", "3 4 1 2 5 6 7 8 9")
+    assert code == 0
+    assert out == "P[1 3 2 4 5 6 7 8 9 ; 3 4 1 2 5 6 7 8 9] = 1 + q\n"
 
 
 def test_rs_output(capsys):

@@ -63,18 +63,29 @@ def test_kl_polynomial_s4_classical_value():
 
 
 def test_kl_constant_term_and_degree_bound():
-    for n in (3, 4):
+    for n in (3, 4, 5):
         for x in all_permutations(n):
             for w in all_permutations(n):
-                if not bruhat_leq(x, w):
-                    continue
                 p = kl_polynomial(n, x, w)
+                if not bruhat_leq(x, w):
+                    assert p == LaurentPoly.zero(), (x, w)
+                    continue
                 assert p.coeff(0) == 1
                 if x != w:
                     assert 2 * p.max_exp() <= w.length() - x.length() - 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kl_polynomials_stable_under_padding_with_fixed_points():
+    # S_4 sits in S_8 as a standard parabolic subgroup, and P_{x,w} does
+    # not see the fixed points 5..8
+    pad = (5, 6, 7, 8)
+    for x in all_permutations(4):
+        for w in all_permutations(4):
+            big_x, big_w = Permutation(x.one_line + pad), Permutation(w.one_line + pad)
+            assert kl_polynomial(8, big_x, big_w) == kl_polynomial(4, x, w), (x, w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_recursion_agrees_with_bar_invariance_solver(n):
     assert canonical_basis(n) == canonical_basis_by_bar_invariance(n)
 
