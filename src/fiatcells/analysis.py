@@ -32,7 +32,7 @@ from .model import (
     MultiCat,
     NotComposableError,
     ValidationReport,
-    build_multicat,
+    _multicat,
     validate,
 )
 
@@ -434,25 +434,24 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
     members = sorted(two_sided.classes[q])
     _strongly_regular_cell_of(cat, cat.morphs[members[0]])
 
-    kept = {i for i in range(len(cat.morphs)) if cat.morphs[i].is_identity}
-    kept |= set(members)
-    order = [i for i in range(len(cat.morphs)) if i in kept]
+    # the kept morphs, identities and the class, renumbered in order
+    in_class = set(members)
+    kept = [m for m in cat.morphs if m.is_identity or m.index in in_class]
+    new = {m.index: j for j, m in enumerate(kept)}
+    if any(cat.star_map[m.index] not in new for m in kept):
+        raise ValueError("star does not map the class to itself")
 
-    morph_specs = [
-        (cat.morphs[i].label, cat.morphs[i].src.label, cat.morphs[i].tgt.label,
-         cat.morphs[i].is_identity)
-        for i in order
-    ]
-    star = {cat.morphs[i].label: cat.morphs[cat.star_map[i]].label for i in order}
-    table: dict[tuple[str, str], dict[str, int]] = {}
+    morph_specs = [(m.label, m.src.index, m.tgt.index, m.is_identity) for m in kept]
+    star = [new[cat.star_map[m.index]] for m in kept]
+    table: dict[tuple[int, int], dict[int, int]] = {}
     discards: list[tuple[str, str, str, int]] = []
     for (g, f), out in sorted(cat.table.items()):
-        if g not in kept or f not in kept:
+        if g not in new or f not in new:
             continue
-        new_out: dict[str, int] = {}
+        new_out: dict[int, int] = {}
         for k, c in sorted(out.items()):
-            if k in kept:
-                new_out[cat.morphs[k].label] = c
+            if k in new:
+                new_out[new[k]] = c
             elif two_sided.leq_class(two_sided.class_of[k], q):
                 raise PurityError(
                     f"discarded summand {cat.morphs[k].label} of "
@@ -464,16 +463,14 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
                     (cat.morphs[g].label, cat.morphs[f].label, cat.morphs[k].label, c)
                 )
         if new_out:
-            table[(cat.morphs[g].label, cat.morphs[f].label)] = new_out
+            table[(new[g], new[f])] = new_out
 
-    restricted = build_multicat(
-        [o.label for o in cat.objects], morph_specs, star, table
-    )
+    restricted = _multicat([o.label for o in cat.objects], morph_specs, star, table)
     report = validate(restricted)
     if not report.ok:
         raise ValueError(f"restriction broke the axioms: {report}")
     new_two_sided = cells(restricted, "two-sided")
-    image = {restricted.morph(cat.morphs[i].label).index for i in members}
+    image = {new[i] for i in members}
     image_classes = {new_two_sided.class_of[i] for i in image}
     if not (
         len(image_classes) == 1

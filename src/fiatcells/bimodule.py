@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .linalg import _echelon, _kernel, _reduce_modulo, mat_mul, rank, rref, solve_unique
 from .constructors import CartanData, _projective_skeleton
-from .model import MultiCat, TableFormatError, _expect, _field, build_multicat
+from .model import MultiCat, TableFormatError, _expect, _field, _multicat
 
 __all__ = [
     "Algebra",
@@ -724,26 +724,28 @@ def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) ->
 
     sk = _projective_skeleton(pairings)
     bimods = {
-        sk.labels[f][e]: projective_bimodule(algebras[t], i, algebras[s], j, name=sk.labels[f][e])
+        sk.index[f][e]: projective_bimodule(
+            algebras[t], i, algebras[s], j, name=sk.morph_specs[sk.index[f][e]][0]
+        )
         for f, (t, i) in enumerate(sk.vertices) for e, (s, j) in enumerate(sk.vertices)
     }
-    # a merged component's identity is its one projective, built above
-    for t, ident in enumerate(identities):
-        bimods.setdefault(sk.units[t], ident)
     # the candidate summands of a product from object s to object t are
-    # the morphs from s to t
-    candidates: dict[tuple[str, str], list[str]] = {}
-    for label, src, tgt, _ in sk.morph_specs:
-        candidates.setdefault((tgt, src), []).append(label)
+    # the morphs from s to t; a merged component's identity is its one
+    # projective, built above
+    candidates: dict[tuple[int, int], list[int]] = {}
+    for k, (_, src, tgt, is_identity) in enumerate(sk.morph_specs):
+        if is_identity:
+            bimods.setdefault(k, identities[src])
+        candidates.setdefault((tgt, src), []).append(k)
 
     # the locality checks and the Gram matrix of a candidate list are
     # computed once, the first time a product needs that list
-    grams: dict[tuple[str, str], list[list[Fraction]]] = {}
-    table: dict[tuple[str, str], dict[str, int]] = {}
+    grams: dict[tuple[int, int], list[list[Fraction]]] = {}
+    table: dict[tuple[int, int], dict[int, int]] = {}
     for f, e, f2, e2 in sk.products:
-        g, h = sk.labels[f][e], sk.labels[f2][e2]
+        g, h = sk.index[f][e], sk.index[f2][e2]
         product = tensor_over(bimods[g], bimods[h], max_dim=max_dim)
-        key = (sk.objects[sk.vertices[f][0]], sk.objects[sk.vertices[e2][0]])
+        key = (sk.vertices[f][0], sk.vertices[e2][0])
         summands = [bimods[c] for c in candidates[key]]
         if key not in grams:
             grams[key] = _candidate_gram(summands)
@@ -751,7 +753,7 @@ def realize_CA(algebras: list[Algebra], max_dim: int = DEFAULT_DIMENSION_CAP) ->
         out = {candidates[key][i]: mult for i, mult in sorted(mults.items()) if mult}
         if out:
             table[(g, h)] = out
-    return build_multicat(sk.objects, sk.morph_specs, sk.star, table)
+    return _multicat(sk.objects, sk.morph_specs, sk.star, table)
 
 
 # ---------------------------------------------------------------------------

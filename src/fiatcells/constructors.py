@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .klbasis import kl_structure_constants_at_one
-from .model import MultiCat, build_multicat
+from .model import MultiCat, _multicat
 from .permutations import Permutation, all_permutations
 from .tableaux import robinson_schensted
 
@@ -36,12 +36,7 @@ HECKE_DEFAULT_MAX_N = 5
 
 def make_s2() -> MultiCat:
     """One object, one non-identity morph F with F∘F = 2F, trivial star."""
-    return build_multicat(
-        ["i"],
-        [("1_i", "i", "i", True), ("F", "i", "i", False)],
-        {"1_i": "1_i", "F": "F"},
-        {("F", "F"): {"F": 2}},
-    )
+    return _multicat(["i"], [("1_i", 0, 0, True), ("F", 0, 0, False)], [0, 1], {(1, 1): {1: 2}})
 
 
 def make_sl2_singular() -> MultiCat:
@@ -50,28 +45,23 @@ def make_sl2_singular() -> MultiCat:
     theta_on: i -> j, theta_out: j -> i, theta = theta_out∘theta_on,
     star swaps the translations.
     """
-    return build_multicat(
+    # morphs by index: 0 1_i, 1 1_j, 2 theta_on, 3 theta_out, 4 theta
+    return _multicat(
         ["i", "j"],
         [
-            ("1_i", "i", "i", True),
-            ("1_j", "j", "j", True),
-            ("theta_on", "i", "j", False),
-            ("theta_out", "j", "i", False),
-            ("theta", "i", "i", False),
+            ("1_i", 0, 0, True),
+            ("1_j", 1, 1, True),
+            ("theta_on", 0, 1, False),
+            ("theta_out", 1, 0, False),
+            ("theta", 0, 0, False),
         ],
+        [0, 1, 3, 2, 4],
         {
-            "1_i": "1_i",
-            "1_j": "1_j",
-            "theta_on": "theta_out",
-            "theta_out": "theta_on",
-            "theta": "theta",
-        },
-        {
-            ("theta_out", "theta_on"): {"theta": 1},
-            ("theta_on", "theta_out"): {"1_j": 2},
-            ("theta", "theta"): {"theta": 2},
-            ("theta_on", "theta"): {"theta_on": 2},
-            ("theta", "theta_out"): {"theta_out": 2},
+            (3, 2): {4: 1},
+            (2, 3): {1: 2},
+            (4, 4): {4: 2},
+            (2, 4): {2: 2},
+            (4, 3): {3: 2},
         },
     )
 
@@ -161,19 +151,20 @@ def _connected(comp) -> bool:
 class _Skeleton(NamedTuple):
     """The shape of a projective-functor table, without its products.
 
-    Component t is object ``objects[t]``; vertex v lies in component
-    ``vertices[v][0]`` at local index ``vertices[v][1]``; ``labels[f][e]``
-    names P[f,e] and ``units[t]`` the identity of component t.
-    ``products`` lists the composable pairs (P[f,e], P[f',e']) that the
-    unit law does not settle, as quadruples (f, e, f', e').
+    Component t is object t, labelled ``objects[t]``; vertex v lies in
+    component ``vertices[v][0]`` at local index ``vertices[v][1]``;
+    ``index[f][e]`` is the morph index of P[f,e].  ``morph_specs`` rows
+    are ``(label, src, tgt, is_identity)`` with object indices, and
+    ``star`` maps morph index to morph index.  ``products`` lists the
+    composable pairs (P[f,e], P[f',e']) that the unit law does not
+    settle, as quadruples (f, e, f', e').
     """
 
     objects: list[str]
     vertices: list[tuple[int, int]]
-    labels: list[list[str]]
-    units: list[str]
-    morph_specs: list[tuple[str, str, str, bool]]
-    star: dict[str, str]
+    index: list[list[int]]
+    morph_specs: list[tuple[str, int, int, bool]]
+    star: list[int]
     products: list[tuple[int, int, int, int]]
 
 
@@ -186,28 +177,28 @@ def _projective_skeleton(pairings) -> _Skeleton:
     objects = [f"t{t + 1}" for t in range(len(pairings))]
     vertices = [(t, i) for t, comp in enumerate(pairings) for i in range(len(comp))]
     merged = [len(comp) == 1 and comp[0][0] == 1 for comp in pairings]
-    units = [f"1_{o}" for o in objects]
     nv = len(vertices)
 
     def is_unit(f: int, e: int) -> bool:
         return f == e and merged[vertices[f][0]]
 
-    labels = [[units[vertices[f][0]] if is_unit(f, e) else f"P[v{f},v{e}]" for e in range(nv)]
-              for f in range(nv)]
-    morph_specs = [(units[t], o, o, True) for t, o in enumerate(objects) if not merged[t]]
+    # the separate identities first, then P[f,e] in row-major order
+    morph_specs = [(f"1_{o}", t, t, True) for t, o in enumerate(objects) if not merged[t]]
+    n_units = len(morph_specs)
+    index = [[n_units + f * nv + e for e in range(nv)] for f in range(nv)]
     morph_specs += [
-        (labels[f][e], objects[vertices[e][0]], objects[vertices[f][0]], is_unit(f, e))
+        (f"1_{objects[vertices[f][0]]}" if is_unit(f, e) else f"P[v{f},v{e}]",
+         vertices[e][0], vertices[f][0], is_unit(f, e))
         for f in range(nv) for e in range(nv)
     ]
-    star = {units[t]: units[t] for t in range(len(objects)) if not merged[t]}
-    star.update((labels[f][e], labels[e][f]) for f in range(nv) for e in range(nv))
+    star = list(range(n_units)) + [index[e][f] for f in range(nv) for e in range(nv)]
     products = [
         (f, e, f2, e2)
         for f in range(nv) for e in range(nv) if not is_unit(f, e)
         for f2 in range(nv) if vertices[f2][0] == vertices[e][0]
         for e2 in range(nv) if not is_unit(f2, e2)
     ]
-    return _Skeleton(objects, vertices, labels, units, morph_specs, star, products)
+    return _Skeleton(objects, vertices, index, morph_specs, star, products)
 
 
 def make_CA(*data) -> MultiCat:
@@ -231,13 +222,13 @@ def make_CA(*data) -> MultiCat:
     else:
         cartan = CartanData(list(data))
     sk = _projective_skeleton(cartan.components)
-    table: dict[tuple[str, str], dict[str, int]] = {}
+    table: dict[tuple[int, int], dict[int, int]] = {}
     for f, e, f2, e2 in sk.products:
         t, i = sk.vertices[e]
         c = cartan.components[t][i][sk.vertices[f2][1]]
         if c:
-            table[(sk.labels[f][e], sk.labels[f2][e2])] = {sk.labels[f][e2]: c}
-    return build_multicat(sk.objects, sk.morph_specs, sk.star, table)
+            table[(sk.index[f][e], sk.index[f2][e2])] = {sk.index[f][e2]: c}
+    return _multicat(sk.objects, sk.morph_specs, sk.star, table)
 
 
 def random_cartan_data(rng: random.Random, max_components: int = 3,
@@ -275,10 +266,11 @@ def _theta_label(w: Permutation) -> str:
 def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
     """Multiplication table of the canonical basis of S_n at v = 1.
 
-    One object; morphs theta_w indexed by permutations, theta_e the
-    identity; star sends theta_w to theta of the inverse.  The structure
-    constants are :func:`fiatcells.klbasis.kl_structure_constants_at_one`:
-    plain integers from the mu-coefficients by the Kazhdan-Lusztig
+    One object; morph i is theta_w for w = ``all_permutations(n)[i]``
+    (so by length, then one-line notation), theta_e the identity; star
+    sends theta_w to theta of the inverse.  The structure constants are
+    :func:`fiatcells.klbasis.kl_structure_constants_at_one`: plain
+    integers from the mu-coefficients by the Kazhdan-Lusztig
     multiplication rule, so no product is expanded over Laurent
     polynomials.  A negative constant raises ArithmeticError (it would
     mean an arithmetic bug, and the table would be wrong).
@@ -288,16 +280,16 @@ def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
     if n in _hecke_cache:
         return _hecke_cache[n]
     group = all_permutations(n)
-    label = {w.one_line: _theta_label(w) for w in group}
+    index = {w.one_line: i for i, w in enumerate(group)}
     e = group[0].one_line
-    morph_specs = [(label[w.one_line], "o", "o", w.is_identity()) for w in group]
-    star = {label[w.one_line]: label[w.inverse().one_line] for w in group}
+    morph_specs = [(_theta_label(w), 0, 0, w.is_identity()) for w in group]
+    star = [index[w.inverse().one_line] for w in group]
     table = {
-        (label[x], label[y]): {label[z]: c for z, c in col.items()}
+        (index[x], index[y]): {index[z]: c for z, c in col.items()}
         for (x, y), col in kl_structure_constants_at_one(n).items()
         if x != e and y != e
     }
-    cat = build_multicat(["o"], morph_specs, star, table)
+    cat = _multicat(["o"], morph_specs, star, table)
     _hecke_cache[n] = cat
     return cat
 
@@ -346,8 +338,8 @@ def rs_cell_check(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> RSCellReport:
     from .cells import cells
 
     cat = make_hecke(n, max_n=max_n)
-    perms = {m.index: Permutation(tuple(int(c) for c in m.label.split("_")[1]))
-             for m in cat.morphs}
+    # morph i of make_hecke(n) is all_permutations(n)[i]
+    perms = dict(enumerate(all_permutations(n)))
     pairs = {i: robinson_schensted(w) for i, w in perms.items()}
 
     def classes_by(key) -> set[frozenset[int]]:

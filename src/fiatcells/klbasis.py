@@ -310,6 +310,8 @@ def canonical_basis_by_bar_invariance(n: int) -> dict[PermKey, Vector]:
     """
     e = Permutation.identity(n).one_line
     basis: dict[PermKey, Vector] = {e: {e: LaurentPoly.one()}}
+    # _group is in (length, one-line) order, so this is by decreasing length
+    by_length = [px.one_line for px in reversed(_group(n))]
     for w in _group(n):
         if w.one_line in basis:
             continue
@@ -320,8 +322,7 @@ def canonical_basis_by_bar_invariance(n: int) -> dict[PermKey, Vector]:
         _add_scaled(cand, _V, basis[u])
         # peel by decreasing length over the whole group: a correction at x
         # only disturbs strictly shorter terms, which are visited later
-        for px in sorted(_group(n), key=lambda p: p.length(), reverse=True):
-            x = px.one_line
+        for x in by_length:
             if x == w.one_line:
                 continue
             c = cand.get(x)

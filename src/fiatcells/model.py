@@ -239,30 +239,25 @@ def compose(cat: MultiCat, g: MorphId, f: MorphId) -> dict[MorphId, int]:
 # construction helpers
 
 
-def build_multicat(
+def _multicat(
     object_labels: list[str],
-    morph_specs: list[tuple[str, str, str, bool]],
-    star_labels: dict[str, str],
-    compose_entries: dict[tuple[str, str], dict[str, int]],
+    morph_specs: list[tuple[str, int, int, bool]],
+    star: list[int],
+    table: dict[tuple[int, int], dict[int, int]],
 ) -> MultiCat:
-    """Assemble a MultiCat from label-level data (used by the constructors).
+    """A MultiCat from index-level data the program built itself.
 
-    ``morph_specs`` rows are ``(label, src_label, tgt_label, is_identity)``.
-    Unit-law compose entries must not be passed.
+    ``morph_specs`` rows are ``(label, src, tgt, is_identity)`` with
+    object indices; ``star`` and ``table`` are by morph index, as in
+    :class:`MultiCat`.  Nothing is resolved or checked here: documents
+    from outside go through :func:`multicat_from_document`.
     """
-    doc = {
-        "objects": list(object_labels),
-        "morphisms": [
-            {"label": lab, "src": s, "tgt": t, **({"identity": True} if ident else {})}
-            for (lab, s, t, ident) in morph_specs
-        ],
-        "star": dict(star_labels),
-        "compose": [
-            {"g": g, "f": f, "out": [{"m": m, "mult": c} for m, c in out.items()]}
-            for (g, f), out in compose_entries.items()
-        ],
-    }
-    return multicat_from_document(doc)
+    objects = [ObjectId(i, lab) for i, lab in enumerate(object_labels)]
+    morphs = [
+        MorphId(i, lab, objects[s], objects[t], ident)
+        for i, (lab, s, t, ident) in enumerate(morph_specs)
+    ]
+    return MultiCat(objects, morphs, star, table)
 
 
 _JSON_TYPES = {

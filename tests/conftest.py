@@ -1,3 +1,4 @@
+import functools
 import json
 import pathlib
 import random
@@ -36,6 +37,17 @@ def hecke3():
 @pytest.fixture(scope="session")
 def hecke4():
     return make_hecke(4)
+
+
+@functools.lru_cache(maxsize=None)
+def realized(fixture: str):
+    """``realize_CA`` of an algebra fixture, computed once per session."""
+    from fiatcells import load_algebras, realize_CA
+
+    return realize_CA(load_algebras(FIXTURES / fixture))
+
+
+ALGEBRA_FIXTURES = sorted(p.name for p in FIXTURES.glob("algebra*.json"))
 
 
 def corpus_cats():

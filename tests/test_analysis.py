@@ -233,6 +233,27 @@ def test_cell_subcategory_refuses_non_strongly_regular():
         cell_subcategory(fib, 0)
 
 
+def test_cell_subcategory_refuses_a_class_that_star_moves():
+    # star swaps A and B, which lie in two different one-element cells
+    doc = {
+        "objects": ["o"],
+        "morphisms": [
+            {"label": "1", "src": "o", "tgt": "o", "identity": True},
+            {"label": "A", "src": "o", "tgt": "o"},
+            {"label": "B", "src": "o", "tgt": "o"},
+        ],
+        "star": {"A": "B", "B": "A"},
+        "compose": [
+            {"g": "A", "f": "A", "out": [{"m": "A", "mult": 1}]},
+            {"g": "B", "f": "B", "out": [{"m": "B", "mult": 1}]},
+        ],
+    }
+    cat = load_multicat(doc)
+    assert validate(cat).ok
+    with pytest.raises(ValueError, match="star does not map the class to itself"):
+        cell_subcategory(cat, two_sided_class_of(cat, "A"))
+
+
 def test_lint_clean_on_builtins(s2, sl2, hecke3, hecke4):
     for cat in (s2, sl2, hecke3, hecke4, make_CA([[2, 1], [1, 2]])):
         report = fiat_lint(cat)

@@ -26,7 +26,7 @@ from fiatcells import (
 from fiatcells.bimodule import Algebra, DimensionCapError, corner_dim, end_is_local, hom_dim
 from fiatcells.linalg import mat_mul
 
-from conftest import FIXTURES
+from conftest import FIXTURES, realized
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +280,7 @@ LARGER_ALGEBRAS = {
 def test_realize_ca_on_larger_algebras(fixture, cartan):
     algebras = load_algebras(FIXTURES / fixture)
     assert cartan_of(algebras).components == cartan
-    assert realize_CA(algebras) == make_CA(cartan_of(algebras))
+    assert realized(fixture) == make_CA(cartan_of(algebras))
 
 
 def _dense(columns):
