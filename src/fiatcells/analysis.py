@@ -353,7 +353,12 @@ def check_left_cell_constancy(cat: MultiCat, q: int) -> tuple[bool, int | None]:
 
     Returns (True, None) or (False, witnessing left class index).
     """
-    by_left = _diagonal_by_left_class(cat, m_table(cat, q).m)
+    return _left_cell_constancy(cat, m_table(cat, q).m)
+
+
+def _left_cell_constancy(cat: MultiCat, entries) -> tuple[bool, int | None]:
+    """check_left_cell_constancy, from the class's computed m entries."""
+    by_left = _diagonal_by_left_class(cat, entries)
     return next(((False, lc) for lc in sorted(by_left) if len(by_left[lc]) > 1), (True, None))
 
 

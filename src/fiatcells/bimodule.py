@@ -33,14 +33,13 @@ All arithmetic is exact; there are no tolerance parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import _echelon, _kernel, _reduce_modulo, mat_mul, rank, rref, solve_unique
 from .constructors import CartanData, _projective_skeleton
-from .model import MultiCat, TableFormatError, _expect, _field, _multicat
+from .model import MultiCat, TableFormatError, _expect, _field, _load_json, _multicat
 
 __all__ = [
     "Algebra",
@@ -837,14 +836,7 @@ def load_algebras(source) -> list[Algebra]:
     opens a JSON object or array, and as a path otherwise, as
     :func:`fiatcells.model.load_multicat` reads it.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = _expect(json.loads(text), dict, "document root")
+    doc = _expect(_load_json(source), dict, "document root")
     specs = _expect(_field(doc, "algebras"), list, "algebras")
     if not specs:
         raise TableFormatError("algebras: no algebras")

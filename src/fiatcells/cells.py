@@ -66,9 +66,6 @@ class CellPartition:
     def leq_class(self, a: int, b: int) -> bool:
         return (a, b) in self.closure
 
-    def class_members(self, idx: int, cat: MultiCat) -> list[MorphId]:
-        return [cat.morphs[i] for i in sorted(self.classes[idx])]
-
 
 @dataclass(frozen=True)
 class RegularityVerdict:

@@ -37,6 +37,7 @@ from .model import (
     TableFormatError,
     _expect,
     _field,
+    _parse_json,
     parse_multicat,
     serialize_multicat,
     validate,
@@ -95,20 +96,6 @@ def _parse_perm(raw: str) -> Permutation:
         return Permutation(tuple(int(tok) for tok in raw.replace(",", " ").split()))
     except ValueError as e:
         raise TableFormatError(str(e)) from None
-
-
-def _format_q_poly(p) -> str:
-    if not p.coeffs:
-        return "0"
-    parts = []
-    for e in sorted(p.coeffs):
-        c = p.coeffs[e]
-        if e == 0:
-            parts.append(str(c))
-        else:
-            mono = "q" if e == 1 else f"q^{e}"
-            parts.append(mono if c == 1 else f"{c}{mono}" if c != -1 else f"-{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +259,7 @@ def _dispatch(args) -> int:
         if x.n != args.n or w.n != args.n:
             return _fail("permutations do not match --n")
         p = kl_polynomial(args.n, x, w)
-        print(f"P[{args.x} ; {args.w}] = {_format_q_poly(p)}")
+        print(f"P[{args.x} ; {args.w}] = {str(p).replace('v', 'q')}")
         return EXIT_OK
 
     if cmd == "rs":
@@ -325,7 +312,7 @@ def _dispatch_bimod(args) -> int:
 
 def _load_cartan(path: str) -> CartanData:
     """Cartan document: {"components": [...]} or the bare list of pairing matrices."""
-    doc = json.loads(_read_text(path))
+    doc = _parse_json(_read_text(path))
     if isinstance(doc, dict):
         doc = _field(doc, "components")
     comps = _expect(doc, list, "components")
@@ -340,7 +327,7 @@ def _load_bimodule(path: str) -> Bimodule:
     """Bimodule document: algebras plus a projective/identity descriptor."""
     from .bimodule import _algebra_from_document, identity_bimodule, projective_bimodule
 
-    doc = _expect(json.loads(_read_text(path)), dict, "document root")
+    doc = _expect(_parse_json(_read_text(path)), dict, "document root")
     left = _algebra_from_document(_field(doc, "left"), "left")
     right = doc.get("right")
     right = left if right in (None, "same") else _algebra_from_document(right, "right")

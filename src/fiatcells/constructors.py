@@ -130,10 +130,6 @@ class CartanData:
                     "data into its connected blocks"
                 )
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(c) for c in self.components)
-
 
 def _connected(comp) -> bool:
     k = len(comp)
@@ -267,13 +263,14 @@ def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
     """Multiplication table of the canonical basis of S_n at v = 1.
 
     One object; morph i is theta_w for w = ``all_permutations(n)[i]``
-    (so by length, then one-line notation), theta_e the identity; star
-    sends theta_w to theta of the inverse.  The structure constants are
-    :func:`fiatcells.klbasis.kl_structure_constants_at_one`: plain
-    integers from the mu-coefficients by the Kazhdan-Lusztig
-    multiplication rule, so no product is expanded over Laurent
-    polynomials.  A negative constant raises ArithmeticError (it would
-    mean an arithmetic bug, and the table would be wrong).
+    (so by length, then one-line notation), theta_e the identity at
+    index 0; star sends theta_w to theta of the inverse.  The structure
+    constants are :func:`fiatcells.klbasis.kl_structure_constants_at_one`,
+    whose indices are these morph indices, so its columns fill the table
+    as they stand: plain integers from the mu-coefficients by the
+    Kazhdan-Lusztig multiplication rule, so no product is expanded over
+    Laurent polynomials.  A negative constant raises ArithmeticError (it
+    would mean an arithmetic bug, and the table would be wrong).
     """
     if not 2 <= n <= max_n:
         raise ValueError(f"n={n} outside the guarded range 2..{max_n}")
@@ -281,13 +278,13 @@ def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
         return _hecke_cache[n]
     group = all_permutations(n)
     index = {w.one_line: i for i, w in enumerate(group)}
-    e = group[0].one_line
     morph_specs = [(_theta_label(w), 0, 0, w.is_identity()) for w in group]
     star = [index[w.inverse().one_line] for w in group]
+    # row and column 0, the identity, are settled by the unit law
     table = {
-        (index[x], index[y]): {index[z]: c for z, c in col.items()}
-        for (x, y), col in kl_structure_constants_at_one(n).items()
-        if x != e and y != e
+        (x, y): col
+        for x, col_x in enumerate(kl_structure_constants_at_one(n)[1:], 1)
+        for y, col in enumerate(col_x[1:], 1)
     }
     cat = _multicat(["o"], morph_specs, star, table)
     _hecke_cache[n] = cat

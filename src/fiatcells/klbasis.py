@@ -31,10 +31,11 @@ The test suite compares the two for n <= 5; that certifies the columns.
 
 Structure constants come two ways.  :func:`kl_structure_constants`
 expands every product b_x b_y in the canonical basis over Laurent
-polynomials; it is the slow graded reference.  Tables are built from
-:func:`kl_structure_constants_at_one`, which needs the values at v = 1
-only and gets them from the mu-coefficients by the Kazhdan-Lusztig
-multiplication rule, in plain integers.
+polynomials, keyed by one-line permutations; it is the slow graded
+reference.  Tables are built from :func:`kl_structure_constants_at_one`,
+which needs the values at v = 1 only and gets them from the
+mu-coefficients by the Kazhdan-Lusztig multiplication rule, in plain
+integers, keyed by position in ``all_permutations(n)`` throughout.
 """
 
 from __future__ import annotations
@@ -151,8 +152,12 @@ def _mu(n: int, z: PermKey, y: PermKey) -> int:
 
 
 @lru_cache(maxsize=None)
-def kl_structure_constants_at_one(n: int) -> dict[tuple[PermKey, PermKey], dict[PermKey, int]]:
+def kl_structure_constants_at_one(n: int) -> list[list[dict[int, int]]]:
     """All products b_x b_y at v = 1, from the mu-coefficients alone.
+
+    Everything is by index: x, y and z are positions in
+    ``all_permutations(n)`` (by length, then one-line notation, so 0 is
+    the identity), and ``cols[x][y]`` maps z to h_{x,y,z}(1).
 
     In Soergel's normalisation b_s = H_s + v, and at v = 1
 
@@ -165,8 +170,9 @@ def kl_structure_constants_at_one(n: int) -> dict[tuple[PermKey, PermKey], dict[
         b_x b_y = b_s (b_u b_y) - sum_{z<u, sz<z} mu(z,u) b_z b_y
 
     builds the products with x from products with shorter x, in Python
-    ints.  The value at (x, y) maps z to h_{x,y,z}(1), the value at v = 1
-    of :func:`kl_structure_constants`; zeros are dropped.  A negative
+    ints.  h_{x,y,z}(1) is the value at v = 1 of the graded constant of
+    :func:`kl_structure_constants`; zeros are dropped.  The result is
+    cached and shared, so callers copy what they keep.  A negative
     entry raises ArithmeticError: positivity holds in type A, so it
     could only be an arithmetic bug.
     """
@@ -209,11 +215,7 @@ def kl_structure_constants_at_one(n: int) -> dict[tuple[PermKey, PermKey], dict[
                     )
             col_x.append({z: c for z, c in col.items() if c})
         cols.append(col_x)
-    return {
-        (keys[x], keys[y]): {keys[z]: c for z, c in col.items()}
-        for x, col_x in enumerate(cols)
-        for y, col in enumerate(col_x)
-    }
+    return cols
 
 
 # ---------------------------------------------------------------------------

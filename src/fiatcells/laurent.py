@@ -118,11 +118,6 @@ class LaurentPoly:
     def coeff(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no extremal exponent")
-        return min(self.coeffs)
-
     def max_exp(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no extremal exponent")

@@ -121,9 +121,10 @@ class MultiCat:
     ``table`` holds the stored compose entries keyed by morph index
     pairs ``(g, f)`` meaning the composite g∘f (g applied after f);
     identities are resolved by the unit law and never consulted in the
-    table.  ``table`` and its composites are read-only mappings and
-    ``objects``, ``morphs`` and ``star_map`` are tuples, so the derived
-    data cached on the table can never go stale.
+    table.  ``table`` and its composites are read-only mappings over
+    copies of the composites passed in, and ``objects``, ``morphs`` and
+    ``star_map`` are tuples, so the derived data cached on the table can
+    never go stale.
     """
 
     def __init__(
@@ -400,13 +401,31 @@ def multicat_from_document(doc: dict) -> MultiCat:
     return MultiCat(objects, morphs, star, table)
 
 
-def parse_multicat(text: str) -> MultiCat:
-    """Parse the JSON text of an interchange document into a MultiCat."""
+def _parse_json(text: str):
+    """The JSON value of ``text``; malformed text is a TableFormatError with its position."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise TableFormatError(f"parse error at line {e.lineno} col {e.colno}: {e.msg}") from None
-    return multicat_from_document(doc)
+
+
+def _load_json(source):
+    """The JSON value read from a file object, from JSON text, or from a path.
+
+    A string is JSON text when its first non-blank character opens a
+    JSON object or array, and a path otherwise.
+    """
+    if hasattr(source, "read"):
+        return _parse_json(source.read())
+    if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
+        return _parse_json(source)
+    with open(source, "r", encoding="utf-8") as fh:
+        return _parse_json(fh.read())
+
+
+def parse_multicat(text: str) -> MultiCat:
+    """Parse the JSON text of an interchange document into a MultiCat."""
+    return multicat_from_document(_parse_json(text))
 
 
 def load_multicat(source) -> MultiCat:
@@ -416,14 +435,7 @@ def load_multicat(source) -> MultiCat:
     opens a JSON object or array, and as a path otherwise; use
     :func:`parse_multicat` for text whatever it starts with.
     """
-    if isinstance(source, dict):
-        return multicat_from_document(source)
-    if hasattr(source, "read"):
-        return parse_multicat(source.read())
-    if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
-        return parse_multicat(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return parse_multicat(fh.read())
+    return multicat_from_document(source if isinstance(source, dict) else _load_json(source))
 
 
 def multicat_to_document(cat: MultiCat) -> dict:

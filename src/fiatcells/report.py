@@ -13,8 +13,8 @@ from .analysis import (
     NotStronglyRegularError,
     PurityError,
     _fiat_lint,
+    _left_cell_constancy,
     cartan_blocks,
-    check_left_cell_constancy,
     m_table,
 )
 from .cells import cells, classify_two_sided
@@ -97,7 +97,7 @@ def report_analyze(cat: MultiCat) -> dict:
                 ]
                 for f, m in table.diagonal().items():
                     m_diagonal[cat.morphs[f].label] = m
-                constant, witness = check_left_cell_constancy(cat, q)
+                constant, witness = _left_cell_constancy(cat, table.m)
                 section["left_cell_constant"] = constant
                 if not constant:
                     section["constancy_witness_left_class"] = witness

@@ -262,6 +262,8 @@ def test_load_algebras_reads_json_text_like_load_multicat():
     # an array is JSON text too, not a path
     with pytest.raises(TableFormatError, match="document root must be a JSON object"):
         load_algebras("[]")
+    with pytest.raises(TableFormatError, match="parse error at line 1"):
+        load_algebras("{")
 
 
 # ---------------------------------------------------------------------------

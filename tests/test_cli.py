@@ -392,6 +392,17 @@ def test_malformed_non_table_documents_exit_1_naming_the_field(capsys, tmp_path,
     assert f"error: {field}" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], _GEN_CA, _REALIZE, _HOM],
+                         ids=["table", "cartan", "algebras", "bimodule"])
+def test_malformed_json_text_exits_1_with_its_position(capsys, tmp_path, command):
+    path = tmp_path / "doc.json"
+    path.write_text("{", encoding="utf-8")
+    code, out, err = invoke(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert "error: parse error at line 1 col 2" in err
+
+
 def test_int64_overflowing_table_is_not_associative(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(three_morph_doc(2**32, 2**33)), encoding="utf-8")

@@ -113,7 +113,13 @@ def test_integer_constants_are_the_graded_ones_at_one(n):
     # the multiplication rule in Python ints against the full expansion
     # of every product over Laurent polynomials, entry for entry
     graded = kl_structure_constants(n)
-    at_one = kl_structure_constants_at_one(n)
+    # the integer constants are by position in all_permutations(n)
+    keys = [w.one_line for w in all_permutations(n)]
+    at_one = {
+        (keys[x], keys[y]): {keys[z]: c for z, c in col.items()}
+        for x, col_x in enumerate(kl_structure_constants_at_one(n))
+        for y, col in enumerate(col_x)
+    }
     assert at_one.keys() == graded.keys()
     for xy, terms in graded.items():
         assert at_one[xy] == {z: h.eval_one() for z, h in terms.items()}, xy
