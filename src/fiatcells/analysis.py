@@ -230,6 +230,16 @@ def _strongly_regular_cell_of(cat: MultiCat, f: MorphId) -> int:
     return q
 
 
+def _strongly_regular_members(cat: MultiCat, q: int) -> list[int]:
+    """The sorted members of the two-sided class ``q``; it must exist and be strongly regular."""
+    two_sided = cells(cat, "two-sided")
+    if not 0 <= q < len(two_sided.classes):
+        raise IndexError(f"two-sided class index {q} out of range")
+    members = sorted(two_sided.classes[q])
+    _strongly_regular_cell_of(cat, cat.morphs[members[0]])
+    return members
+
+
 def duflo_element(cat: MultiCat, right_class: int) -> MorphId:
     """The unique star-fixed element of a strongly regular right cell."""
     right = cells(cat, "right")
@@ -319,11 +329,7 @@ def m_coeff(cat: MultiCat, f: MorphId, h: MorphId) -> tuple[MorphId | None, int]
 
 def m_table(cat: MultiCat, q: int) -> MTable:
     """Full m table over the strongly regular two-sided class ``q``."""
-    two_sided = cells(cat, "two-sided")
-    if not 0 <= q < len(two_sided.classes):
-        raise IndexError(f"two-sided class index {q} out of range")
-    members = sorted(two_sided.classes[q])
-    _strongly_regular_cell_of(cat, cat.morphs[members[0]])
+    members = _strongly_regular_members(cat, q)
     entries = cell_analysis(cat).m[q]
     failures = [e for e in entries.values() if isinstance(e, ValueError)]
     for e in failures:  # purity failures are reported together, others alone
@@ -393,9 +399,7 @@ def cartan_matrix(cat: MultiCat, right_class: int, obj: int) -> CartanBlock:
 
 def cartan_blocks(cat: MultiCat, q: int) -> dict[int, list[CartanBlock]]:
     """All Cartan blocks of the class, keyed by right class index."""
-    two_sided = cells(cat, "two-sided")
-    members = sorted(two_sided.classes[q])
-    _strongly_regular_cell_of(cat, cat.morphs[members[0]])
+    members = _strongly_regular_members(cat, q)
     right = cells(cat, "right")
     return {
         rc: [
@@ -433,11 +437,8 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
     fails, or where a discarded summand is not strictly above the class,
     raises (PurityError for the latter, ValueError otherwise).
     """
+    members = _strongly_regular_members(cat, q)
     two_sided = cells(cat, "two-sided")
-    if not 0 <= q < len(two_sided.classes):
-        raise IndexError(f"two-sided class index {q} out of range")
-    members = sorted(two_sided.classes[q])
-    _strongly_regular_cell_of(cat, cat.morphs[members[0]])
 
     # the kept morphs, identities and the class, renumbered in order
     in_class = set(members)

@@ -267,8 +267,9 @@ def annihilator_of_simple(cat: MultiCat, g: MorphId) -> list[MorphId]:
     """Morphisms (composable with the action) killing the simple of g.
 
     The result is a coideal for the right preorder restricted to the
-    composable morphisms; this is asserted, since it is a theorem for
-    every table.
+    composable morphisms.  That is a theorem for every table that passes
+    :func:`~fiatcells.model.validate`; on a table where it fails, a
+    ValueError is raised.
     """
     ann = [
         m
@@ -281,7 +282,7 @@ def annihilator_of_simple(cat: MultiCat, g: MorphId) -> list[MorphId]:
         for k in reach_r[m.index]:
             km = cat.morphs[k]
             if km.src.index == g.tgt.index and k not in ann_idx:
-                raise AssertionError(
+                raise ValueError(
                     f"annihilator of {g.label} is not a right coideal: "
                     f"{m.label} <=_R {km.label}"
                 )

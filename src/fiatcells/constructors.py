@@ -280,10 +280,13 @@ def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
     index = {w.one_line: i for i, w in enumerate(group)}
     morph_specs = [(_theta_label(w), 0, 0, w.is_identity()) for w in group]
     star = [index[w.inverse().one_line] for w in group]
+    # kept until _multicat has copied them: freed together, their memory goes
+    # back to the system; freed in part earlier, the copies fill and pin it
+    cols = kl_structure_constants_at_one(n)
     # row and column 0, the identity, are settled by the unit law
     table = {
         (x, y): col
-        for x, col_x in enumerate(kl_structure_constants_at_one(n)[1:], 1)
+        for x, col_x in enumerate(cols[1:], 1)
         for y, col in enumerate(col_x[1:], 1)
     }
     cat = _multicat(["o"], morph_specs, star, table)

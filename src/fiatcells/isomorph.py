@@ -16,21 +16,24 @@ from .model import MorphId, MultiCat
 __all__ = ["find_isomorphism", "are_isomorphic"]
 
 
-def _morph_signature(cat: MultiCat, i: int) -> tuple:
-    m = cat.morphs[i]
-    self_compose: tuple = ()
-    if m.src.index == m.tgt.index:
-        out = cat.compose_idx(i, i)
-        self_compose = tuple(sorted(out.values()))
-    appearances = sorted(
-        c for out in cat.table.values() for k, c in out.items() if k == i
-    )
-    return (
-        m.is_identity,
-        cat.star_map[i] == i,
-        self_compose,
-        tuple(appearances),
-    )
+def _morph_signatures(cat: MultiCat) -> list[tuple]:
+    """Per morph: identity, fixed by star, its square's multiplicities, and its
+    multiplicities in the stored composites compose_idx reads (no unit law)."""
+    morphs = cat.morphs
+    appearances: list[list[int]] = [[] for _ in morphs]
+    for (g, f), out in cat.table.items():
+        if cat.composable(g, f) and not morphs[g].is_identity and not morphs[f].is_identity:
+            for k, c in out.items():
+                appearances[k].append(c)
+    return [
+        (
+            m.is_identity,
+            cat.star_map[i] == i,
+            tuple(sorted(cat.compose_idx(i, i).values())) if m.src.index == m.tgt.index else (),
+            tuple(sorted(appearances[i])),
+        )
+        for i, m in enumerate(morphs)
+    ]
 
 
 def find_isomorphism(a: MultiCat, b: MultiCat) -> dict[MorphId, MorphId] | None:
@@ -42,8 +45,7 @@ def find_isomorphism(a: MultiCat, b: MultiCat) -> dict[MorphId, MorphId] | None:
     if len(a.objects) != len(b.objects) or len(a.morphs) != len(b.morphs):
         return None
     na = len(a.morphs)
-    sig_a = [_morph_signature(a, i) for i in range(na)]
-    sig_b = [_morph_signature(b, i) for i in range(na)]
+    sig_a, sig_b = _morph_signatures(a), _morph_signatures(b)
     if sorted(sig_a) != sorted(sig_b):
         return None
 

@@ -151,7 +151,6 @@ def _mu(n: int, z: PermKey, y: PermKey) -> int:
     return _column(y)[1].get(z, 0)
 
 
-@lru_cache(maxsize=None)
 def kl_structure_constants_at_one(n: int) -> list[list[dict[int, int]]]:
     """All products b_x b_y at v = 1, from the mu-coefficients alone.
 
@@ -171,8 +170,7 @@ def kl_structure_constants_at_one(n: int) -> list[list[dict[int, int]]]:
 
     builds the products with x from products with shorter x, in Python
     ints.  h_{x,y,z}(1) is the value at v = 1 of the graded constant of
-    :func:`kl_structure_constants`; zeros are dropped.  The result is
-    cached and shared, so callers copy what they keep.  A negative
+    :func:`kl_structure_constants`; zeros are dropped.  A negative
     entry raises ArithmeticError: positivity holds in type A, so it
     could only be an arithmetic bug.
     """

@@ -246,12 +246,14 @@ def _multicat(
     star: list[int],
     table: dict[tuple[int, int], dict[int, int]],
 ) -> MultiCat:
-    """A MultiCat from index-level data the program built itself.
+    """A MultiCat from index-level data: the one builder of tables.
 
     ``morph_specs`` rows are ``(label, src, tgt, is_identity)`` with
     object indices; ``star`` and ``table`` are by morph index, as in
-    :class:`MultiCat`.  Nothing is resolved or checked here: documents
-    from outside go through :func:`multicat_from_document`.
+    :class:`MultiCat`.  Nothing is resolved or checked here.  The
+    constructors call it with data they built themselves, and it is the
+    last step of :func:`multicat_from_document`, which checks a
+    document from outside and resolves its labels to indices first.
     """
     objects = [ObjectId(i, lab) for i, lab in enumerate(object_labels)]
     morphs = [
@@ -282,6 +284,12 @@ def _field(doc: dict, key: str, where: str = ""):
     return doc[key]
 
 
+def _dangling(label, where: str) -> TableFormatError:
+    """The format error for a morph reference at ``where`` that names no morph."""
+    _expect(label, str, where)
+    return TableFormatError(f"{where}: dangling morphism reference {label!r}")
+
+
 def multicat_from_document(doc: dict) -> MultiCat:
     """Resolve an interchange document into a MultiCat.
 
@@ -289,7 +297,8 @@ def multicat_from_document(doc: dict) -> MultiCat:
     types of the fields and referential integrity: every label must
     resolve, each object carries exactly one identity, and
     multiplicities must be positive integers.  Each failure is a
-    :class:`TableFormatError` naming the field path.
+    :class:`TableFormatError` naming the field path.  The checked table
+    is built by :func:`_multicat` from its labels and indices.
     """
     _expect(doc, dict, "document root")
     for key in ("objects", "morphisms", "star", "compose"):
@@ -299,106 +308,91 @@ def multicat_from_document(doc: dict) -> MultiCat:
         raise TableFormatError("no objects")
     for i, lab in enumerate(object_labels):
         _expect(lab, str, f"objects[{i}]")
-    if len(set(object_labels)) != len(object_labels):
+    object_index = {lab: o for o, lab in enumerate(object_labels)}
+    if len(object_index) != len(object_labels):
         raise TableFormatError("duplicate object label")
-    objects = [ObjectId(i, lab) for i, lab in enumerate(object_labels)]
-    obj_by_label = {o.label: o for o in objects}
 
-    morphs: list[MorphId] = []
-    seen_labels: set[str] = set()
+    specs: list[tuple[str, int, int, bool]] = []
+    index: dict[str, int] = {}  # morph label -> index
     for i, spec in enumerate(_expect(doc["morphisms"], list, "morphisms")):
         _expect(spec, dict, f"morphisms[{i}]")
         for key in ("label", "src", "tgt"):
             _expect(_field(spec, key, f"morphisms[{i}]"), str, f"morphisms[{i}].{key}")
         lab = spec["label"]
-        if lab in seen_labels:
+        if index.setdefault(lab, i) != i:
             raise TableFormatError(f"morphisms[{i}]: duplicate morphism label {lab!r}")
-        seen_labels.add(lab)
         try:
-            src = obj_by_label[spec["src"]]
-            tgt = obj_by_label[spec["tgt"]]
+            src, tgt = object_index[spec["src"]], object_index[spec["tgt"]]
         except KeyError as e:
             raise TableFormatError(
                 f"morphisms[{i}] ({lab!r}): dangling object reference {e.args[0]!r}"
             ) from None
         is_identity = _expect(spec.get("identity", False), bool, f"morphisms[{i}].identity")
-        morphs.append(MorphId(i, lab, src, tgt, is_identity))
+        specs.append((lab, src, tgt, is_identity))
 
-    identities_per_object: dict[int, list[str]] = {}
-    for m in morphs:
-        if m.is_identity:
-            identities_per_object.setdefault(m.src.index, []).append(m.label)
-            if m.src.index != m.tgt.index:
-                raise TableFormatError(
-                    f"identity morphism {m.label!r} has src != tgt"
-                )
-    for o in objects:
-        got = identities_per_object.get(o.index, [])
-        if len(got) == 0:
-            raise TableFormatError(f"object {o.label!r} has no identity morphism")
+    identities: list[list[str]] = [[] for _ in object_labels]
+    for lab, src, tgt, is_identity in specs:
+        if is_identity:
+            identities[src].append(lab)
+            if src != tgt:
+                raise TableFormatError(f"identity morphism {lab!r} has src != tgt")
+    for obj, got in zip(object_labels, identities):
+        if not got:
+            raise TableFormatError(f"object {obj!r} has no identity morphism")
         if len(got) > 1:
-            raise TableFormatError(
-                f"duplicate identity for object {o.label!r}: {got}"
-            )
+            raise TableFormatError(f"duplicate identity for object {obj!r}: {got}")
 
-    morph_by_label = {m.label: m for m in morphs}
-
-    def resolve(label, where: str) -> MorphId:
-        try:
-            return morph_by_label[_expect(label, str, where)]
-        except KeyError:
-            raise TableFormatError(
-                f"{where}: dangling morphism reference {label!r}"
-            ) from None
-
-    star = [0] * len(morphs)
+    # every morph reference below is one lookup in index; only a miss
+    # builds its field path, in _dangling
     star_doc = _expect(doc["star"], dict, "star")
-    for m in morphs:
-        image = star_doc.get(m.label, m.label)
-        star[m.index] = resolve(image, f"star[{m.label!r}]").index
+    star = []
+    for lab in index:
+        image = star_doc.get(lab, lab)
+        try:
+            star.append(index[image])
+        except (KeyError, TypeError):
+            raise _dangling(image, f"star[{lab!r}]") from None
     for lab in star_doc:
-        resolve(lab, "star (key)")
+        if lab not in index:
+            raise _dangling(lab, "star (key)")
 
-    # a str that names a morph resolves by one lookup; anything else, and
-    # every other miss below, goes through resolve and _expect, which
-    # raise with the field path
-    index_of = {m.label: m.index for m in morphs}
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i, entry in enumerate(_expect(doc["compose"], list, "compose")):
-        at = f"compose[{i}]"
-        _expect(entry, dict, at)
-        g, f, terms = _field(entry, "g", at), _field(entry, "f", at), _field(entry, "out", at)
-        g = index_of.get(g) if isinstance(g, str) else None
-        if g is None:
-            g = resolve(entry["g"], f"{at}.g").index
-        f = index_of.get(f) if isinstance(f, str) else None
-        if f is None:
-            f = resolve(entry["f"], f"{at}.f").index
+        if not (isinstance(entry, dict) and "g" in entry and "f" in entry and "out" in entry):
+            for key in ("g", "f", "out"):
+                _field(_expect(entry, dict, f"compose[{i}]"), key, f"compose[{i}]")
+        g, f, terms = entry["g"], entry["f"], entry["out"]
+        try:
+            g = index[g]
+        except (KeyError, TypeError):
+            raise _dangling(g, f"compose[{i}].g") from None
+        try:
+            f = index[f]
+        except (KeyError, TypeError):
+            raise _dangling(f, f"compose[{i}].f") from None
         if (g, f) in table:
             raise TableFormatError(
-                f"{at}: duplicate entry for ({morphs[g].label!r}, {morphs[f].label!r})"
+                f"compose[{i}]: duplicate entry for ({specs[g][0]!r}, {specs[f][0]!r})"
             )
+        if not isinstance(terms, list):
+            _expect(terms, list, f"compose[{i}].out")
         out: dict[int, int] = {}
-        for j, term in enumerate(_expect(terms, list, f"{at}.out")):
-            if isinstance(term, dict):
-                m, mult = term.get("m", ""), term.get("mult", 1)
-                k = index_of.get(m) if isinstance(m, str) else None
-                if k is not None and type(mult) is int and mult > 0 and k not in out:
-                    out[k] = mult
-                    continue
-            where = f"{at}.out[{j}]"
-            _expect(term, dict, where)
-            m = resolve(term.get("m", ""), f"{where}.m")
-            mult = term.get("mult", 1)
+        for j, term in enumerate(terms):
+            if not isinstance(term, dict):
+                _expect(term, dict, f"compose[{i}].out[{j}]")
+            m, mult = term.get("m", ""), term.get("mult", 1)
+            try:
+                k = index[m]
+            except (KeyError, TypeError):
+                raise _dangling(m, f"compose[{i}].out[{j}].m") from None
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise TableFormatError(
-                    f"{where}: multiplicity must be a positive integer, got {mult!r}"
-                )
-            if m.index in out:
-                raise TableFormatError(f"{where}: repeated summand {m.label!r}")
-            out[m.index] = mult
+                raise TableFormatError(f"compose[{i}].out[{j}]: multiplicity must be "
+                                       f"a positive integer, got {mult!r}")
+            if k in out:
+                raise TableFormatError(f"compose[{i}].out[{j}]: repeated summand {m!r}")
+            out[k] = mult
         table[(g, f)] = out
-    return MultiCat(objects, morphs, star, table)
+    return _multicat(object_labels, specs, star, table)
 
 
 def _parse_json(text: str):

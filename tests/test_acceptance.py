@@ -180,7 +180,6 @@ def _clear_hecke_caches() -> None:
     clear_hecke_cache()
     for cached in (
         klbasis.kl_structure_constants,
-        klbasis.kl_structure_constants_at_one,
         klbasis.canonical_basis,
         klbasis.canonical_basis_by_bar_invariance,
         klbasis._column,

@@ -47,6 +47,27 @@ def test_duflo_elements(s2, sl2):
         duflo_element(s2, 5)
 
 
+@pytest.mark.parametrize(
+    "read, kind",
+    [
+        (classify_two_sided, "two-sided"),
+        (m_table, "two-sided"),
+        (check_left_cell_constancy, "two-sided"),
+        (cartan_blocks, "two-sided"),
+        (cell_subcategory, "two-sided"),
+        (duflo_element, "right"),
+        (lambda cat, rc: cartan_matrix(cat, rc, 0), "right"),
+    ],
+    ids=["classify_two_sided", "m_table", "check_left_cell_constancy", "cartan_blocks",
+         "cell_subcategory", "duflo_element", "cartan_matrix"],
+)
+def test_class_index_out_of_range(sl2, read, kind):
+    count = len(cells(sl2, kind).classes)
+    for index in (-1, count):
+        with pytest.raises(IndexError, match=f"{kind} class index {index} out of range"):
+            read(sl2, index)
+
+
 def test_duflo_error_without_unique_self_dual():
     # a valid table whose star exchanges two singleton cells: each is a
     # strongly regular cell without any self-dual element

@@ -104,6 +104,14 @@ def test_annihilator_command(capsys):
     assert "(empty)" in out
 
 
+@pytest.mark.parametrize("morph, other", [("A", "B"), ("B", "A")])
+def test_annihilator_on_a_table_breaking_star_exits_1(capsys, morph, other):
+    # on badstar the annihilator of L(A) is not a right coideal
+    code, out, err = invoke(capsys, "annihilator", "--morph", morph, str(FIXTURES / "badstar.json"))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"error: annihilator of {morph} is not a right coideal: {morph} <=_R {other}" in err
+
+
 def test_exit_codes_on_fixtures(capsys):
     code, out, _ = invoke(capsys, "lint", str(FIXTURES / "nonassoc.json"))
     assert code == 2
@@ -465,18 +473,20 @@ _FUZZED = {
     "lint": (GOLDEN / "sl2.json", ["lint"]),
     "analyze": (GOLDEN / "sl2.json", ["analyze"]),
     "cells": (GOLDEN / "sl2.json", ["cells"]),
+    "order": (GOLDEN / "sl2.json", ["order"]),
+    "annihilator": (GOLDEN / "sl2.json", ["annihilator", "--morph", "1_i"]),
     "gen ca": (FIXTURES / "cartan_12.json", ["gen", "ca", "--cartan"]),
     "bimod realize-ca": (FIXTURES / "algebras_qd.json", ["bimod", "realize-ca", "--algebras"]),
     "bimod hom": (FIXTURES / "bimod_f.json",
                   ["bimod", "hom", "--n", str(FIXTURES / "bimod_f.json"), "--m"]),
 }
-_STDIN_COMMANDS = {"validate", "lint", "analyze", "cells"}
+_STDIN_COMMANDS = {"validate", "lint", "analyze", "cells", "order", "annihilator"}
 
 
 # capsys, monkeypatch and tmp_path are shared by the examples; each invoke
 # re-reads capsys, and each example re-sets stdin or rewrites the one file.
-# 265 examples over 7 commands keep about 150 on the 4 table commands.
-@settings(max_examples=265, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# 340 examples over 9 commands keep about 150 on validate, lint, analyze and cells.
+@settings(max_examples=340, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), command=st.sampled_from(sorted(_FUZZED)))
 def test_fuzzed_documents_never_crash(capsys, monkeypatch, tmp_path, data, command):
     source, argv = _FUZZED[command]
