@@ -91,11 +91,13 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, ensure_ascii=False))
 
 
-def _parse_perm(raw: str) -> Permutation:
+def _parse_perm(raw: str, option: str) -> Permutation:
+    """The permutation given in one-line notation to ``option``; a bad one
+    is a TableFormatError that names the option."""
     try:
         return Permutation(tuple(int(tok) for tok in raw.replace(",", " ").split()))
     except ValueError as e:
-        raise TableFormatError(str(e)) from None
+        raise TableFormatError(f"{option}: {e}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,8 +162,11 @@ def run(argv: list[str]) -> int:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
         return _dispatch(args)
-    except (TableFormatError, NotComposableError, ValueError, KeyError) as e:
+    except (TableFormatError, NotComposableError, ValueError) as e:
         return _fail(str(e))
+    except KeyError as e:
+        # str() of a KeyError is the repr of its argument, quotes and all
+        return _fail(str(e.args[0]) if e.args else str(e))
     except OSError as e:
         return _fail(str(e))
 
@@ -254,8 +259,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "klpoly":
-        x = _parse_perm(args.x)
-        w = _parse_perm(args.w)
+        x = _parse_perm(args.x, "--x")
+        w = _parse_perm(args.w, "--w")
         if x.n != args.n or w.n != args.n:
             return _fail("permutations do not match --n")
         p = kl_polynomial(args.n, x, w)
@@ -263,7 +268,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "rs":
-        w = _parse_perm(args.perm)
+        w = _parse_perm(args.perm, "--perm")
         pair = robinson_schensted(w)
         for name, rows in (("P", pair.p), ("Q", pair.q)):
             print(f"{name}:")

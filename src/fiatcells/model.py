@@ -533,6 +533,13 @@ def validate(cat: MultiCat) -> ValidationReport:
     * ``star-ends``: star swaps src and tgt.
     * ``star-anti-automorphism``: star(G∘F) = star(F)∘star(G) elementwise.
 
+    ``structure`` and ``unit-law`` are read in one unsorted pass over the
+    stored entries, each tested against the morphs of its hom-space and,
+    when it has an identity, against the unit law; only the entries that
+    fail a test are sorted and described, so violations come in sorted
+    (G, F) order.  This pass is pure Python: numpy loads only with the
+    star and associativity kernels.
+
     Associativity is settled for every composable triple, but only a
     few are expanded.  A triple with an identity in it holds by the unit
     law, which composition applies whatever is stored.  The others are
@@ -550,11 +557,12 @@ def validate(cat: MultiCat) -> ValidationReport:
     On the Hecke tables S is the simple reflections.  Only when a
     (H, S, F) fails is every non-identity G read, to list every
     violation.  The triples are checked by one sparse scatter-add kernel
-    over the table compiled into index arrays (once per table; see
-    ``fiatcells._kernel``).  It is exact: the multiplicity of a summand
-    on either side is a sum of at most n products of two
-    multiplicities, so sums are int64 when 2·n·max(mult)² < 2^63 proves
-    that none can overflow (n morphisms), and Python ints otherwise.  It
+    over the table compiled into index arrays, once per table, from one
+    pass over the stored entries (see ``fiatcells._kernel``).  It is
+    exact: the multiplicity of a summand on either side is a sum of at
+    most n products of two multiplicities, so sums are int64 when
+    2·n·max(mult)² < 2^63 proves that none can overflow (n morphisms),
+    and Python ints otherwise.  It
     runs only when no ``structure`` violation was found, and lists
     violations in sorted (H, G, F) order.  ``star-anti-automorphism`` is
     checked on the same arrays once star is an involution that swaps
@@ -563,7 +571,8 @@ def validate(cat: MultiCat) -> ValidationReport:
     report = ValidationReport()
     morphs = cat.morphs
 
-    for (g, f), out in sorted(cat.table.items()):
+    for g, f in _suspect_entries(cat):
+        out = cat.table[(g, f)]
         gm, fm = morphs[g], morphs[f]
         if gm.src.index != fm.tgt.index:
             report.violations.append(
@@ -607,6 +616,32 @@ def validate(cat: MultiCat) -> ValidationReport:
     if not any(v.law == "structure" for v in report.violations):
         _check_associativity(cat, report)
     return report
+
+
+def _suspect_entries(cat: MultiCat) -> list[tuple[int, int]]:
+    """The stored (g, f) that may break ``structure`` or ``unit-law``, sorted.
+
+    One pass over the stored table: an entry is suspect when g, f do not
+    compose, when a summand lies outside the hom-space of src(f) to
+    tgt(g), or when g or f is an identity and the entry is not the unit
+    law.  The others break neither law, so only the suspects are sorted
+    and read again.
+    """
+    src = [m.src.index for m in cat.morphs]
+    tgt = [m.tgt.index for m in cat.morphs]
+    identity = [m.is_identity for m in cat.morphs]
+    hom: dict[tuple[int, int], set[int]] = {}  # (src, tgt) -> the morphs between them
+    for m in range(len(src)):
+        hom.setdefault((src[m], tgt[m]), set()).add(m)
+    empty: set[int] = set()
+    suspects = []
+    for (g, f), out in cat.table.items():
+        if src[g] != tgt[f] or not out.keys() <= hom.get((src[f], tgt[g]), empty):
+            suspects.append((g, f))
+        elif (identity[g] or identity[f]) and out != {(f if identity[g] else g): 1}:
+            suspects.append((g, f))
+    suspects.sort()
+    return suspects
 
 
 def _check_star(cat: MultiCat, report: ValidationReport) -> None:

@@ -202,6 +202,29 @@ def test_rs_output(capsys):
     assert "1 2" in out and "1 3" in out
 
 
+def test_unknown_morph_error_has_no_stray_quotes(capsys):
+    code, out, err = invoke(capsys, "annihilator", "--morph", "nope", str(GOLDEN / "sl2.json"))
+    assert code == 1 and out == ""
+    assert err == "fiatcells: error: no morphism labelled 'nope'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rs", "--perm", "a b"], "--perm: invalid literal for int() with base 10: 'a'"),
+        (["rs", "--perm", "1 1"], "--perm: not a permutation of 1..2: (1, 1)"),
+        (["klpoly", "--n", "3", "--x", "1 2 x", "--w", "1 2 3"],
+         "--x: invalid literal for int() with base 10: 'x'"),
+        (["klpoly", "--n", "3", "--x", "1 2 3", "--w", "1 3 3"],
+         "--w: not a permutation of 1..3: (1, 3, 3)"),
+    ],
+)
+def test_bad_permutation_names_its_option(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"fiatcells: error: {message}\n"
+
+
 def test_bimod_verify_quiver(capsys):
     code, out, _ = invoke(capsys, "bimod", "verify-quiver")
     assert code == 0

@@ -353,15 +353,20 @@ def bumped(cat, by=1, scale=1):
     return load_multicat(doc)
 
 
+def huge_tables():
+    """A Cartan table with every multiplicity times 2^31, which keeps it
+    associative (both sides of a triple are products of two of them) but
+    makes the kernel sum in Python ints, and the same with one bump,
+    which breaks a few triples."""
+    cartan = make_CA([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[3]])
+    return [("cartan*2^31", bumped(cartan, by=0, scale=2**31)),
+            ("cartan*2^31+1", bumped(cartan, scale=2**31))]
+
+
 def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
     from fiatcells import _kernel
 
-    # stored multiplicities times 2^31 keep a table associative (both
-    # sides of a triple are products of two of them) but make the
-    # kernel sum in Python ints; the bump breaks a few triples
-    cartan = make_CA([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[3]])
-    huge = [("cartan*2^31", bumped(cartan, by=0, scale=2**31)),
-            ("cartan*2^31+1", bumped(cartan, scale=2**31))]
+    huge = huge_tables()
     assert all(cat._compiled_form().c.dtype == object for _, cat in huge)
     tables = stored_tables() + huge + [
         ("hecke3", hecke3),
@@ -401,6 +406,248 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
                     and any(not h.is_identity and h.src == g.tgt for h in cat.morphs)
                 }, (name, certificate)
             assert_kernel_matches(cat, want[name], (name, budget))
+
+
+def reference_compile(cat):
+    """The compiled form built pair by pair through ``compose_idx``: the
+    reference that ``_kernel._compile``, which reads the stored table in
+    one pass, must reproduce field for field."""
+    import numpy as np
+
+    from fiatcells._kernel import _Compiled, _generators
+
+    n = len(cat.morphs)
+    star = cat.star_map
+    generators = set(_generators(cat))
+    runs = [([], [], []) for _ in cat.objects]
+    out_of = [[] for _ in cat.objects]
+    for m in cat.morphs:
+        gens, others, identity = runs[m.tgt.index]
+        if m.is_identity:
+            identity.append(m.index)
+        else:
+            (gens if m.index in generators else others).append(m.index)
+            out_of[m.src.index].append(m.index)
+    into = [a + b + c for a, b, c in runs]
+    rank = [0] * n
+    for members in into:
+        for r, m in enumerate(members):
+            rank[m] = r
+    pair_first = [0] * n
+    pair_g, pair_f, outs = [], [], []
+    for gs in into:
+        for g in gs:
+            pair_first[g] = len(outs)
+            for f in into[cat.morphs[g].src.index]:
+                pair_g.append(g)
+                pair_f.append(f)
+                outs.append(cat.compose_idx(g, f))
+    terms = [term for out in outs for term in sorted(out.items())]
+    index = np.int32 if len(outs) * n < 2**31 else np.int64
+    biggest = max((c for _, c in terms), default=1)
+    exact = np.int64 if 2 * n * biggest * biggest < 2**63 else object
+    sizes = np.fromiter(map(len, outs), dtype=index, count=len(outs))
+    entries = np.concatenate(([0], np.cumsum(sizes))).astype(index)
+    rank_arr = np.array(rank, dtype=index)
+    pair_first = np.array(pair_first, dtype=index)
+    pair_f_arr = np.array(pair_f, dtype=index)
+    pair_count = np.array([len(into[m.src.index]) for m in cat.morphs], dtype=index)
+    first = entries[pair_first]
+    p = np.repeat(np.arange(len(outs), dtype=index), sizes)
+    k = np.fromiter((k for k, _ in terms), dtype=index, count=len(terms))
+    return _Compiled(
+        n=n,
+        into=[np.array(members, dtype=index) for members in into],
+        generators=[len(gens) for gens, _, _ in runs],
+        out_of=out_of,
+        star=np.array(star, dtype=index),
+        rank=rank_arr,
+        pair_first=pair_first,
+        pair_g=np.array(pair_g, dtype=index),
+        pair_f=pair_f_arr,
+        entry_first=entries,
+        first=first,
+        row_len=entries[pair_first + pair_count - 1] - first,
+        pair_count=pair_count,
+        p=p,
+        k=k,
+        fm=rank_arr[pair_f_arr[p]] * n + k,
+        lead=pair_first[pair_f_arr[p]] * n,
+        c=np.fromiter((c for _, c in terms), dtype=exact, count=len(terms)),
+    )
+
+
+def assert_same_compiled(got, want, name):
+    """Every field of two compiled forms equal, arrays in dtype too."""
+    import dataclasses
+
+    import numpy as np
+
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "into":  # a list of arrays
+            assert len(a) == len(b), (name, field.name)
+            pairs = list(zip(a, b))
+        else:
+            pairs = [(a, b)]
+        for x, y in pairs:
+            if isinstance(y, np.ndarray):
+                assert isinstance(x, np.ndarray), (name, field.name)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape), (name, field.name)
+                assert x.tolist() == y.tolist(), (name, field.name)
+            else:
+                assert x == y, (name, field.name)
+
+
+def test_compile_matches_the_per_pair_reference(hecke3, hecke4):
+    from fiatcells import make_hecke
+    from fiatcells._kernel import _compile
+
+    # stored entries compose_idx never reads: a non-composable one, and
+    # unit-law ones that break the unit law or keep it
+    doc = multicat_to_document(make_CA([[2, 1], [1, 2]], [[3]]))
+    morphs = doc["morphisms"]
+    one = {m["src"]: m["label"] for m in morphs if m.get("identity")}
+    f = next(m for m in morphs if m["tgt"] == "t1" and not m.get("identity"))
+    g = next(m for m in morphs if m["src"] == "t2" and not m.get("identity"))
+    doc["compose"] += [
+        {"g": g["label"], "f": f["label"], "out": [{"m": g["label"], "mult": 5}]},
+        {"g": one["t1"], "f": f["label"], "out": [{"m": f["label"], "mult": 3}]},
+        {"g": f["label"], "f": one[f["src"]], "out": [{"m": f["label"], "mult": 1}]},
+    ]
+    odd = load_multicat(doc)
+    assert {"structure", "unit-law"} <= set(validate(odd).laws())
+    # nothing stored: only identities, or only zero composites
+    bare = {
+        "objects": ["i", "j"],
+        "morphisms": [
+            {"label": "1_i", "src": "i", "tgt": "i", "identity": True},
+            {"label": "1_j", "src": "j", "tgt": "j", "identity": True},
+        ],
+        "star": {},
+        "compose": [],
+    }
+    zero = json.loads(json.dumps(bare))
+    zero["morphisms"] += [{"label": "F", "src": "i", "tgt": "j"}, {"label": "G", "src": "j", "tgt": "i"}]
+    zero["star"] = {"F": "G", "G": "F"}
+    tables = stored_tables() + huge_tables() + [
+        ("hecke3", hecke3), ("hecke4", hecke4), ("hecke5", make_hecke(5)), ("odd", odd),
+        ("bare", load_multicat(bare)), ("zero", load_multicat(zero)),
+    ]
+    names = {name for name, _ in tables}
+    assert {"badstar.json", "nonassoc.json", "unequal_m.json"} <= names
+    dtypes = set()
+    for name, cat in tables:
+        want = reference_compile(cat)
+        assert_same_compiled(_compile(cat), want, name)
+        dtypes.add(want.c.dtype)
+    assert len(dtypes) == 2  # int64 and object
+
+
+def reference_validate(cat):
+    """``validate`` as one sorted pass over every stored entry, then the
+    star and associativity checks: the reference for the scan that
+    sorts only the suspect entries."""
+    from fiatcells import model
+
+    report = model.ValidationReport()
+    morphs = cat.morphs
+    for (g, f), out in sorted(cat.table.items()):
+        gm, fm = morphs[g], morphs[f]
+        if gm.src.index != fm.tgt.index:
+            report.violations.append(model.Violation(
+                "structure", (gm.label, fm.label), "stored composite of a non-composable pair",
+            ))
+            continue
+        for k in sorted(out):
+            km = morphs[k]
+            if km.src.index != fm.src.index or km.tgt.index != gm.tgt.index:
+                report.violations.append(model.Violation(
+                    "structure",
+                    (gm.label, fm.label, km.label),
+                    f"summand {km.label} has ends {km.src.label}->{km.tgt.label}, "
+                    f"expected {fm.src.label}->{gm.tgt.label}",
+                ))
+        if gm.is_identity and out != {f: 1}:
+            report.violations.append(model.Violation(
+                "unit-law", (gm.label, fm.label), "left unit composite differs from the unit law",
+            ))
+        if fm.is_identity and not gm.is_identity and out != {g: 1}:
+            report.violations.append(model.Violation(
+                "unit-law", (gm.label, fm.label), "right unit composite differs from the unit law",
+            ))
+    model._check_star(cat, report)
+    if not any(v.law == "structure" for v in report.violations):
+        model._check_associativity(cat, report)
+    return report
+
+
+MUTATIONS = ("wrong-ends", "non-composable", "unit-law", "empty", "star")
+
+
+def mutated(doc, rng, mutation):
+    """``doc`` changed in place by one ``mutation``, its choices drawn from ``rng``."""
+    morphs = doc["morphisms"]
+    ends = {m["label"]: (m["src"], m["tgt"]) for m in morphs}
+    stored = {(e["g"], e["f"]) for e in doc["compose"]}
+    if mutation == "wrong-ends" and doc["compose"]:
+        # a summand relabelled, to one with wrong ends where there is one
+        e = rng.choice(doc["compose"])
+        want = (ends[e["f"]][0], ends[e["g"]][1])
+        free = [lab for lab in ends if lab not in {t["m"] for t in e["out"]}]
+        wrong = [lab for lab in free if ends[lab] != want]
+        if free:
+            if not e["out"]:
+                e["out"].append({"mult": 1})
+            rng.choice(e["out"])["m"] = rng.choice(wrong or free)
+    elif mutation == "non-composable":
+        pairs = [(g, f) for g in ends for f in ends
+                 if ends[g][0] != ends[f][1] and (g, f) not in stored]
+        if pairs:
+            g, f = rng.choice(pairs)
+            doc["compose"].append(
+                {"g": g, "f": f, "out": [{"m": rng.choice(list(ends)), "mult": rng.randint(1, 3)}]}
+            )
+    elif mutation == "unit-law":
+        # (1, f) or (g, 1), stored as the unit law or as something else
+        one = {m["src"]: m["label"] for m in morphs if m.get("identity")}
+        pairs = [(one[ends[f][1]], f) for f in ends] + [(g, one[ends[g][0]]) for g in ends]
+        pairs = [(g, f) for g, f in pairs if (g, f) not in stored]
+        if pairs:
+            g, f = rng.choice(pairs)
+            law = f if g in one.values() else g
+            out = rng.choice([
+                [{"m": law, "mult": 1}],
+                [{"m": law, "mult": 2}],
+                [],
+                [{"m": rng.choice(list(ends)), "mult": 1}],
+            ])
+            doc["compose"].append({"g": g, "f": f, "out": out})
+    elif mutation == "empty" and doc["compose"]:
+        rng.choice(doc["compose"])["out"] = []
+    elif mutation == "star":
+        doc["star"][rng.choice(list(ends))] = rng.choice(list(ends))
+    return doc
+
+
+def test_validate_matches_the_full_sorted_scan(hecke3):
+    # each mutation alone, then two or three at once, on each table: the
+    # report is the reference's, and every law the scan checks is hit
+    rng = random.Random(20261019)
+    seen = set()
+    bases = [make_s2(), make_sl2_singular(), hecke3,
+             make_CA(random_cartan_data(random.Random(3), 3, 2, 3))]
+    for base in bases:
+        batches = [[mutation] for mutation in MUTATIONS for _ in range(8)]
+        batches += [rng.sample(MUTATIONS, rng.randint(2, 3)) for _ in range(20)]
+        for batch in batches:
+            doc = multicat_to_document(base)
+            for mutation in batch:
+                mutated(doc, rng, mutation)
+            report = validate(load_multicat(doc))
+            assert str(report) == str(reference_validate(load_multicat(doc))), batch
+            seen |= set(report.laws())
+    assert {"structure", "unit-law", "star-involution", "associativity"} <= seen
 
 
 def test_associativity_is_exact_beyond_int64():
