@@ -68,9 +68,11 @@ class _Compiled:
     neither g nor f is an identity (none when nothing is stored) and the
     unit law otherwise, whatever is stored for such a pair.
 
-    ``into[o]`` holds the morphs with target o in three runs, each
-    ascending: first the generators of :func:`_generators` (the first
-    ``generators[o]``), then the other non-identities, then the identity
+    ``generating_set`` is the set S of :func:`_generators`, in the order
+    picked, as a plain list: the cell preorders of a table that validates
+    read it (see ``fiatcells.cells``).  ``into[o]`` holds the morphs with
+    target o in three runs, each ascending: first the generators (the
+    first ``generators[o]``), then the other non-identities, then the identity
     of o.  ``rank[m]`` is the place of m in ``into[tgt(m)]``.  ``out_of[o]``
     holds the non-identities with source o, ascending, and ``star`` the
     star of each morph.  Composable pairs (g, f) are numbered target
@@ -94,6 +96,7 @@ class _Compiled:
 
     n: int
     into: list[np.ndarray]
+    generating_set: list[int]
     generators: list[int]
     out_of: list[list[int]]
     star: np.ndarray
@@ -112,13 +115,14 @@ class _Compiled:
     c: np.ndarray
 
 
-def _generators(cat) -> list[int]:
+def _generators(cat, weight: list[int]) -> list[int]:
     """A set S of non-identities that generates the table's algebra
     together with the identities (see the module docstring), in the
     order picked.
 
-    Candidates are the non-identities by ascending row weight (the sum
-    of the multiplicities of g∘f over all non-identity f), then index.
+    Candidates are the non-identities by ascending row weight, then
+    index; ``weight[g]`` is the sum of the multiplicities of g∘f over
+    all non-identity f composable with g, as :func:`_compile` counts it.
     The next candidate not yet reached joins S, and the reached set is
     closed by unit propagation over the products s∘w and w∘s, s in S
     and w reached: a product whose summands are all reached but one
@@ -128,12 +132,7 @@ def _generators(cat) -> list[int]:
     morphs, table = cat.morphs, cat.table
     src = [m.src.index for m in morphs]
     tgt = [m.tgt.index for m in morphs]
-    identity = [m.is_identity for m in morphs]
-    weight = [0] * len(morphs)
-    for (g, f), out in table.items():
-        if not (identity[g] or identity[f]) and src[g] == tgt[f]:
-            weight[g] += sum(out.values())
-    reached = list(identity)
+    reached = [m.is_identity for m in morphs]
     gens: list[int] = []
     # the generators, and the reached non-identities already multiplied
     # by every generator, by source and by target object
@@ -189,7 +188,9 @@ def _compile(cat) -> _Compiled:
     in one pass.
 
     The stored entries that composition reads (g, f composable, neither
-    an identity) are flattened into parallel lists, one item per summand.
+    an identity) are flattened into parallel lists, one item per summand;
+    the row weights that order the candidates of :func:`_generators` are
+    summed from them, so the generating set reads no second pass.
     Each composable pair with an identity in it gets its unit-law
     summand by index arithmetic on ``pair_g`` and ``pair_f``: f when g is
     an identity, g otherwise, with multiplicity 1.  Other stored entries
@@ -201,18 +202,6 @@ def _compile(cat) -> _Compiled:
     src = [m.src.index for m in cat.morphs]
     tgt = [m.tgt.index for m in cat.morphs]
     identity = [m.is_identity for m in cat.morphs]
-    generators = set(_generators(cat))
-    # per target object: the generators, the other non-identities, the identity
-    runs: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in cat.objects]
-    out_of: list[list[int]] = [[] for _ in cat.objects]
-    for m in cat.morphs:
-        gens, others, ident = runs[m.tgt.index]
-        if m.is_identity:
-            ident.append(m.index)
-        else:
-            (gens if m.index in generators else others).append(m.index)
-            out_of[m.src.index].append(m.index)
-    into = [a + b + c for a, b, c in runs]
     # the stored entries composition reads, one item per summand
     entry_g: list[int] = []
     entry_f: list[int] = []
@@ -226,6 +215,30 @@ def _compile(cat) -> _Compiled:
             entry_size.append(len(out))
             ks.extend(out)
             cs.extend(out.values())
+    # a side of one (h, g, f, m) sums at most n products of two entries,
+    # and the accumulator holds the left side less a part of the right;
+    # the unit-law summands are 1s
+    biggest = max(1, max(cs, default=1))
+    exact = np.int64 if 2 * n * biggest * biggest < 2**63 else object
+    stored_c = np.array(cs, dtype=exact)
+    # the row weights of _generators: each a sum of stored multiplicities,
+    # so below len(cs) * biggest
+    weight = np.zeros(n, dtype=exact if len(cs) * biggest < 2**63 else object)
+    np.add.at(weight, np.repeat(np.array(entry_g, dtype=np.int64), entry_size), stored_c)
+    del cs  # stored_c holds them: one copy at the peak, not two (20 MB on S6)
+    generating_set = _generators(cat, weight.tolist())
+    generators = set(generating_set)
+    # per target object: the generators, the other non-identities, the identity
+    runs: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in cat.objects]
+    out_of: list[list[int]] = [[] for _ in cat.objects]
+    for m in cat.morphs:
+        gens, others, ident = runs[m.tgt.index]
+        if m.is_identity:
+            ident.append(m.index)
+        else:
+            (gens if m.index in generators else others).append(m.index)
+            out_of[m.src.index].append(m.index)
+    into = [a + b + c for a, b, c in runs]
     pair_count = [len(into[o]) for o in src]
     pairs = sum(pair_count)
     # a slot is pair * n + m < pairs * n; offsets stay below it too
@@ -252,12 +265,7 @@ def _compile(cat) -> _Compiled:
         np.array(ks, dtype=index),
         np.where(is_identity[pair_g[unit]], pair_f[unit], pair_g[unit]),
     ))
-    # a side of one (h, g, f, m) sums at most n products of two entries,
-    # and the accumulator holds the left side less a part of the right;
-    # the unit-law summands are 1s
-    biggest = max(1, max(cs, default=1))
-    exact = np.int64 if 2 * n * biggest * biggest < 2**63 else object
-    c = np.concatenate((np.array(cs, dtype=exact), np.ones(len(unit), dtype=exact)))
+    c = np.concatenate((stored_c, np.ones(len(unit), dtype=exact)))
     # the summands of a pair are distinct, so their slots p * n + k are
     # too: one argsort orders by (pair, k), ~4x faster than np.lexsort
     by_slot = np.argsort(p * n + k)
@@ -267,6 +275,7 @@ def _compile(cat) -> _Compiled:
     return _Compiled(
         n=n,
         into=[np.array(members, dtype=index) for members in into],
+        generating_set=generating_set,
         generators=[len(gens) for gens, _, _ in runs],
         out_of=out_of,
         star=np.array(cat.star_map, dtype=index),

@@ -31,7 +31,6 @@ from .model import (
     MorphId,
     MultiCat,
     NotComposableError,
-    ValidationReport,
     _multicat,
     validate,
 )
@@ -500,13 +499,11 @@ def fiat_lint(cat: MultiCat) -> LintReport:
     Failures are diagnostics: the report certifies that no fiat
     category satisfying the usual hypotheses can decategorify to this
     table.  Checks whose hypotheses never fire come back
-    not-applicable.
+    not-applicable.  The validity check reads the report that
+    :func:`~fiatcells.model.validate` caches on the table, so a table
+    already validated is not validated again.
     """
-    return _fiat_lint(cat, validate(cat))
-
-
-def _fiat_lint(cat: MultiCat, vreport: ValidationReport) -> LintReport:
-    """The lint battery of ``cat``, given its validation report."""
+    vreport = validate(cat)
     report = LintReport()
 
     def add(name: str, bad: list[str], applicable: bool = True) -> None:

@@ -14,6 +14,20 @@ and kind, and everything else is read off it, with no graph library:
 the cells are the classes of mutual reachability, one class lies below
 another when the second is reachable from the first, and the order is
 stored as its Hasse diagram (the covering pairs).
+
+The graph has two edge sources, and the verdict that
+:func:`~fiatcells.model.validate` caches on the table picks one.  A
+table that validates needs only the edges of the generating set S that
+validation found (the simple reflections on a Hecke table): every
+non-identity is a summand of a product of generators, so with positive
+multiplicities and associativity every H∘F is reached from F one
+generator at a time.  Any other table, never validated or not valid,
+reads an edge for every summand of every stored entry.  Either graph is
+closed the same way: its strongly connected classes, which are the
+cells, are found sinks first by one iterative Tarjan search, and a
+class's reach set is its members together with the reach sets of the
+classes it points to, shared by all its members.  This module imports
+no numpy: S is a plain list on the table's compiled form.
 """
 
 from __future__ import annotations
@@ -82,49 +96,132 @@ class RegularityVerdict:
 # preorder graphs and closures
 
 
-def _edges(cat: MultiCat, kind: str) -> dict[int, set[int]]:
+def _edges(cat: MultiCat, kind: str, generators: list[int] | None = None) -> list[set[int]]:
+    """The preorder graph as adjacency sets; its two edge sources are
+    described in :func:`preorder_closure`.
+
+    With ``generators``, F -> each summand of s∘F (right) or F∘s (left)
+    for s among them; without, F -> each summand of every stored H∘F
+    (right) or F∘H (left).  Both add the identity edges.  No self-loop
+    is stored: the closure puts every morph in its own reach set.
+    """
     right = kind in ("right", "two-sided")
     left = kind in ("left", "two-sided")
-    adj: dict[int, set[int]] = {i: {i} for i in range(len(cat.morphs))}
-    for (g, f), out in cat.table.items():
+    morphs, table = cat.morphs, cat.table
+    adj: list[set[int]] = [set() for _ in morphs]
+    out_of: list[list[int]] = [[] for _ in cat.objects]
+    into: list[list[int]] = [[] for _ in cat.objects]
+    for m in morphs:
+        out_of[m.src.index].append(m.index)
+        into[m.tgt.index].append(m.index)
+    if generators is None:
+        for (g, f), out in table.items():
+            if right:
+                adj[f].update(out)
+            if left:
+                adj[g].update(out)
+    for s in generators or ():
+        # an identity F adds nothing that the identity edges do not
         if right:
-            adj[f].update(out)
+            for f in into[morphs[s].src.index]:
+                adj[f].update(table.get((s, f), ()))
         if left:
-            adj[g].update(out)
+            for g in out_of[morphs[s].tgt.index]:
+                adj[g].update(table.get((g, s), ()))
     # unit-law composites are not stored but do generate order:
     # h∘1_t = h puts 1_t below every h with source t in the right order,
     # and 1_t∘f = f puts 1_t below every f with target t in the left order
-    for m in cat.morphs:
+    for m in morphs:
         if m.is_identity:
-            t = m.src.index
-            adj[m.index].update(
-                o.index for o in cat.morphs
-                if (right and o.src.index == t) or (left and o.tgt.index == t)
-            )
+            if right:
+                adj[m.index].update(out_of[m.src.index])
+            if left:
+                adj[m.index].update(into[m.src.index])
     return adj
+
+
+def _closure(adj: list[set[int]]) -> dict[int, frozenset[int]]:
+    """The reachability set of every vertex of the graph ``adj``, itself
+    included, computed once per strongly connected class.
+
+    An iterative Tarjan search completes the classes sinks first: a class
+    is complete only after every class its edges enter.  So its reach set
+    is its members together with the reach sets of those classes, all
+    known by then, and every member shares that one frozenset.
+    """
+    n = len(adj)
+    order = [0] * n  # visit number, from 1; 0 while unvisited
+    low = [0] * n
+    class_of = [-1] * n  # -1 until the class is complete
+    reach: list[frozenset[int]] = []  # per class, in completion order
+    stack: list[int] = []  # visited, class not yet complete
+    visits = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        visits += 1
+        order[root] = low[root] = visits
+        stack.append(root)
+        path = [(root, iter(adj[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not order[w]:
+                    visits += 1
+                    order[w] = low[w] = visits
+                    stack.append(w)
+                    path.append((w, iter(adj[w])))
+                    break
+                if class_of[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:  # v roots a class: the stack above it
+                    c = len(reach)
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        class_of[members[-1]] = c
+                    below = {class_of[w] for u in members for w in adj[u]}
+                    below.discard(c)
+                    reach.append(frozenset(members).union(*(reach[b] for b in below)))
+    return {v: reach[class_of[v]] for v in range(n)}
 
 
 def preorder_closure(cat: MultiCat, kind: str) -> Mapping[int, frozenset[int]]:
     """Reachability sets of the preorder graph, memoized on the table.
 
-    The result is a read-only mapping: it is cached on the table and
-    shared by every caller, as the partitions of :func:`cells` are.
+    Two edge sources give the same reachability on a table that
+    validates, and the cached verdict of
+    :func:`~fiatcells.model.validate` picks one; no setting does.
+
+    * On a table whose cached report is ``ok``, the edges come from the
+      generating set S that validation found (``_kernel._generators``):
+      F -> the summands of s∘F for the right order, of F∘s for the left,
+      s in S, plus the identity edges.  That is enough: unit propagation
+      reaches every non-identity H as a summand of a product of
+      generators, so with positive multiplicities and associativity a
+      summand G of H∘F is reached from F by one generator at a time, as
+      a summand of s₁∘(s₂∘(⋯(s_k∘F))), and likewise on the left.
+    * Every other table, never validated or not valid, reads every
+      stored entry: the argument needs associativity, and the cells of
+      a broken table are still reported.
+
+    Either way one closure routine over the condensation computes the
+    sets (``_closure``).  The result is a read-only mapping, cached on
+    the table and shared by every caller, as the partitions of
+    :func:`cells` are; the members of a cell share one frozenset.
     """
     closures = cat._closures
     if kind not in closures:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        adj = _edges(cat, kind)
-        reach: dict[int, frozenset[int]] = {}
-        for start in adj:
-            seen = {start}
-            stack = [start]
-            while stack:
-                new = adj[stack.pop()] - seen
-                seen |= new
-                stack += new
-            reach[start] = frozenset(seen)
-        closures[kind] = MappingProxyType(reach)
+        report = cat._validation
+        valid = report is not None and report.ok
+        generators = cat._compiled_form().generating_set if valid else None
+        closures[kind] = MappingProxyType(_closure(_edges(cat, kind, generators)))
     return closures[kind]
 
 

@@ -333,6 +333,7 @@ def rs_cell_check(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> RSCellReport:
     The naming of the two tableaux is convention-dependent, so the
     classifying tableau is discovered empirically rather than assumed;
     the test corpus pins the discovered convention in a golden file.
+    Raises RuntimeError when no tableau assignment classifies the cells.
     """
     # local import: analysis depends on cells only, no cycle
     from .cells import cells
@@ -378,7 +379,7 @@ def rs_cell_check(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> RSCellReport:
         ],
     )
     if not report.consistent:
-        raise AssertionError(
+        raise RuntimeError(
             f"no consistent tableau assignment classifies the cells for n={n}"
         )
     return report

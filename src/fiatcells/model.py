@@ -31,7 +31,7 @@ so canonical documents round-trip bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -96,9 +96,12 @@ class Violation:
         return f"{self.law} [{w}]: {self.detail}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+    """The violations :func:`validate` found, in its order; read-only, as
+    it is cached on its table."""
+
+    violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -145,11 +148,13 @@ class MultiCat:
             if m.is_identity:
                 self._identity_of[m.src.index] = m
         # derived data, each computed on first use: the preorder closures
-        # and cell partitions by kind, the kernel's index arrays and the
-        # cell analysis; _analysis is bound last (see __setattr__)
+        # and cell partitions by kind, the kernel's index arrays, the
+        # validation report and the cell analysis; _analysis is bound last
+        # (see __setattr__)
         self._closures: dict[str, MappingProxyType[int, frozenset[int]]] = {}
         self._partitions: dict[str, CellPartition] = {}
         self._compiled: _Compiled | None = None
+        self._validation: ValidationReport | None = None
         self._analysis: CellAnalysis | None = None
 
     def __setattr__(self, name: str, value) -> None:
@@ -567,15 +572,25 @@ def validate(cat: MultiCat) -> ValidationReport:
     violations in sorted (H, G, F) order.  ``star-anti-automorphism`` is
     checked on the same arrays once star is an involution that swaps
     ends.
+
+    The report is computed once per table and cached on it, as the
+    compiled arrays are: the table is read-only, so the report cannot go
+    stale, and every later call (``report_analyze``, ``fiat_lint``, the
+    cell preorders) returns the same read-only :class:`ValidationReport`.
     """
-    report = ValidationReport()
+    return cat._derived("_validation", _validate)
+
+
+def _validate(cat: MultiCat) -> ValidationReport:
+    """The report :func:`validate` caches, computed."""
+    violations: list[Violation] = []
     morphs = cat.morphs
 
     for g, f in _suspect_entries(cat):
         out = cat.table[(g, f)]
         gm, fm = morphs[g], morphs[f]
         if gm.src.index != fm.tgt.index:
-            report.violations.append(
+            violations.append(
                 Violation(
                     "structure",
                     (gm.label, fm.label),
@@ -586,7 +601,7 @@ def validate(cat: MultiCat) -> ValidationReport:
         for k in sorted(out):
             km = morphs[k]
             if km.src.index != fm.src.index or km.tgt.index != gm.tgt.index:
-                report.violations.append(
+                violations.append(
                     Violation(
                         "structure",
                         (gm.label, fm.label, km.label),
@@ -596,7 +611,7 @@ def validate(cat: MultiCat) -> ValidationReport:
                     )
                 )
         if gm.is_identity and out != {f: 1}:
-            report.violations.append(
+            violations.append(
                 Violation(
                     "unit-law",
                     (gm.label, fm.label),
@@ -604,7 +619,7 @@ def validate(cat: MultiCat) -> ValidationReport:
                 )
             )
         if fm.is_identity and not gm.is_identity and out != {g: 1}:
-            report.violations.append(
+            violations.append(
                 Violation(
                     "unit-law",
                     (gm.label, fm.label),
@@ -612,10 +627,10 @@ def validate(cat: MultiCat) -> ValidationReport:
                 )
             )
 
-    _check_star(cat, report)
-    if not any(v.law == "structure" for v in report.violations):
-        _check_associativity(cat, report)
-    return report
+    _check_star(cat, violations)
+    if not any(v.law == "structure" for v in violations):
+        _check_associativity(cat, violations)
+    return ValidationReport(tuple(violations))
 
 
 def _suspect_entries(cat: MultiCat) -> list[tuple[int, int]]:
@@ -644,33 +659,33 @@ def _suspect_entries(cat: MultiCat) -> list[tuple[int, int]]:
     return suspects
 
 
-def _check_star(cat: MultiCat, report: ValidationReport) -> None:
+def _check_star(cat: MultiCat, violations: list[Violation]) -> None:
     morphs = cat.morphs
     for m in morphs:
         sm = morphs[cat.star_map[m.index]]
         if cat.star_map[sm.index] != m.index:
-            report.violations.append(
+            violations.append(
                 Violation("star-involution", (m.label,), f"star(star({m.label})) = "
                           f"{morphs[cat.star_map[sm.index]].label}")
             )
         if m.is_identity and sm.index != m.index:
-            report.violations.append(
+            violations.append(
                 Violation("star-involution", (m.label,), "star moves an identity")
             )
         if sm.src.index != m.tgt.index or sm.tgt.index != m.src.index:
-            report.violations.append(
+            violations.append(
                 Violation(
                     "star-ends",
                     (m.label,),
                     f"star({m.label}) = {sm.label} does not swap source and target",
                 )
             )
-    if any(v.law in ("star-involution", "star-ends") for v in report.violations):
+    if any(v.law in ("star-involution", "star-ends") for v in violations):
         return
     from ._kernel import _star_violations
 
     for g, f in _star_violations(cat._compiled_form()):
-        report.violations.append(
+        violations.append(
             Violation(
                 "star-anti-automorphism",
                 (morphs[g].label, morphs[f].label),
@@ -692,7 +707,7 @@ def _triple_sides(cat: MultiCat, h: int, g: int, f: int) -> tuple[dict, dict]:
     return lhs, rhs
 
 
-def _check_associativity(cat: MultiCat, report: ValidationReport) -> None:
+def _check_associativity(cat: MultiCat, violations: list[Violation]) -> None:
     from ._kernel import _associativity_violations
 
     t = cat._compiled_form()
@@ -700,7 +715,7 @@ def _check_associativity(cat: MultiCat, report: ValidationReport) -> None:
         return
     for (h, g, f) in _associativity_violations(t, certificate=False):
         lhs, rhs = _triple_sides(cat, h, g, f)
-        report.violations.append(
+        violations.append(
             Violation(
                 "associativity",
                 (cat.morphs[h].label, cat.morphs[g].label, cat.morphs[f].label),

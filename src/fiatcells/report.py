@@ -12,9 +12,9 @@ from .analysis import (
     LintReport,
     NotStronglyRegularError,
     PurityError,
-    _fiat_lint,
     _left_cell_constancy,
     cartan_blocks,
+    fiat_lint,
     m_table,
 )
 from .cells import cells, classify_two_sided
@@ -119,7 +119,7 @@ def report_analyze(cat: MultiCat) -> dict:
         m.label: m_diagonal[m.label] for m in cat.morphs if m.label in m_diagonal
     }
 
-    doc["lint"] = _lint_block(_fiat_lint(cat, vreport))
+    doc["lint"] = _lint_block(fiat_lint(cat))
     return doc
 
 

@@ -1,3 +1,5 @@
+import importlib
+import pickle
 import random
 
 import pytest
@@ -15,12 +17,17 @@ from fiatcells import (
     leq_LR,
     leq_R,
     make_CA,
+    make_hecke,
     random_cartan_data,
+    validate,
     verify_order_factorization,
 )
-from fiatcells.cells import preorder_closure
+from fiatcells.cells import KINDS, preorder_closure
 
 from conftest import stored_tables
+
+# the module: the package exports its function ``cells`` under that name
+cells_module = importlib.import_module("fiatcells.cells")
 
 
 def labels(cat, part):
@@ -256,15 +263,31 @@ def reference_cells(cat, kind):
     return tuple(classes), class_of, frozenset(below), tuple(hasse), reach
 
 
+def fresh(cat, validated):
+    """A copy of ``cat`` with nothing cached; validated first when asked,
+    so that its preorders read the generator edges if it is valid."""
+    copy = pickle.loads(pickle.dumps(cat))
+    if validated:
+        validate(copy)
+    return copy
+
+
 def assert_cells_match_reference(cat, name):
-    for kind in ("left", "right", "two-sided"):
-        classes, class_of, closure, hasse, reach = reference_cells(cat, kind)
-        part = cells(cat, kind)
-        assert part.classes == classes, (name, kind)
-        assert part.class_of == class_of, (name, kind)
-        assert part.closure == closure, (name, kind)
-        assert part.order_edges == hasse, (name, kind)
-        assert preorder_closure(cat, kind) == reach, (name, kind)
+    """Both edge sources against the reference, each on a fresh copy:
+    one never validated, and one validated first."""
+    want = {kind: reference_cells(cat, kind) for kind in KINDS}
+    for validated in (False, True):
+        copy = fresh(cat, validated)
+        for kind in KINDS:
+            classes, class_of, closure, hasse, reach = want[kind]
+            part = cells(copy, kind)
+            where = (name, kind, validated)
+            assert part.classes == classes, where
+            assert part.class_of == class_of, where
+            assert part.closure == closure, where
+            assert part.order_edges == hasse, where
+            assert preorder_closure(copy, kind) == reach, where
+        assert (copy._validation is not None) == validated, name
 
 
 def test_cells_match_reference(hecke3, hecke4):
@@ -272,6 +295,61 @@ def test_cells_match_reference(hecke3, hecke4):
     assert {"nonassoc.json", "cartan_12.json", "sl2.json"} <= {name for name, _ in tables}
     for name, cat in tables:
         assert_cells_match_reference(cat, name)
+
+
+def edge_sources(monkeypatch):
+    """The edge source each closure reads, recorded in order: "generators"
+    or "every entry"."""
+    read = []
+    edges = cells_module._edges
+
+    def spy(cat, kind, generators=None):
+        read.append("every entry" if generators is None else "generators")
+        return edges(cat, kind, generators)
+
+    monkeypatch.setattr(cells_module, "_edges", spy)
+    return read
+
+
+def test_the_cached_verdict_picks_the_edge_source(monkeypatch, hecke3):
+    read = edge_sources(monkeypatch)
+    tables = {name: cat for name, cat in stored_tables()}
+    # unequal_m breaks lint, not the axioms: it validates
+    for name, cat, source in [
+        ("hecke3", hecke3, "generators"),
+        ("unequal_m.json", tables["unequal_m.json"], "generators"),
+        ("nonassoc.json", tables["nonassoc.json"], "every entry"),
+        ("badstar.json", tables["badstar.json"], "every entry"),
+    ]:
+        for validated in (False, True):
+            copy = fresh(cat, validated)
+            read.clear()
+            for kind in KINDS:
+                preorder_closure(copy, kind)
+            assert read == [source if validated else "every entry"] * 3, (name, validated)
+
+
+def test_generator_edges_match_every_edge_on_hecke5(monkeypatch):
+    # the Warshall reference is too slow at 120 morphs: the generator
+    # path against the path that reads every stored entry
+    read = edge_sources(monkeypatch)
+    cat = make_hecke(5)
+    every, generated = fresh(cat, False), fresh(cat, True)
+    for kind in KINDS:
+        assert preorder_closure(generated, kind) == preorder_closure(every, kind), kind
+        assert cells(generated, kind) == cells(every, kind), kind
+    assert read.count("every entry") == read.count("generators") == 3
+    assert len(cells(generated, "right").classes) == 26
+    assert len(cells(generated, "two-sided").classes) == 7
+
+
+def test_members_of_a_cell_share_one_reach_set(hecke4):
+    for validated in (False, True):
+        copy = fresh(hecke4, validated)
+        for kind in KINDS:
+            reach = preorder_closure(copy, kind)
+            for members in cells(copy, kind).classes:
+                assert len({id(reach[m]) for m in members}) == 1, (kind, validated)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

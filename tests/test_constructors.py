@@ -194,10 +194,12 @@ def test_make_hecke_raises_on_a_negative_constant_under_python_O():
 
 
 def test_make_hecke_leaves_numpy_unloaded():
+    # nor do the cells of a table never validated (rs_cell_check's path)
     code = (
         "import sys\n"
-        "from fiatcells import make_hecke\n"
-        "make_hecke(4)\n"
+        "from fiatcells import cells, make_hecke\n"
+        "cat = make_hecke(4)\n"
+        "for kind in ('left', 'right', 'two-sided'): cells(cat, kind)\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
@@ -267,6 +269,26 @@ def _generated_tables():
                 yield f"{name} cell {q}", cell_subcategory(cat, q)[0]
     for fixture in ALGEBRA_FIXTURES:
         yield f"realize_CA {fixture}", realized(fixture)
+
+
+def test_generated_tables_store_only_positive_multiplicities():
+    # the generator edges of the cell preorders rest on it: a summand of
+    # H∘F stays a summand of a product of generators applied to F
+    tables = list(_generated_tables()) + [("hecke5", make_hecke(5))]
+    for name, cat in tables:
+        for out in cat.table.values():
+            assert all(type(c) is int and c > 0 for c in out.values()), name
+
+
+def test_rs_cell_check_raises_when_no_tableau_classifies_the_cells(monkeypatch):
+    # every permutation given the tableaux of the identity: one class
+    # each, which matches no cell partition of S3
+    from fiatcells import Permutation, constructors, robinson_schensted
+
+    pair = robinson_schensted(Permutation((1, 2, 3)))
+    monkeypatch.setattr(constructors, "robinson_schensted", lambda w: pair)
+    with pytest.raises(RuntimeError, match="no consistent tableau assignment"):
+        rs_cell_check(3)
 
 
 def test_generated_tables_equal_their_parsed_serialization():

@@ -237,10 +237,9 @@ def simple_reflections(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_generators_of_hecke_tables_are_the_simple_reflections(n):
     from fiatcells import make_hecke
-    from fiatcells._kernel import _generators
 
     cat = make_hecke(n)
-    got = [cat.morphs[g].label for g in _generators(cat)]
+    got = [cat.morphs[g].label for g in cat._compiled_form().generating_set]
     assert sorted(got) == sorted(simple_reflections(n))
     # they lead the one target group, and only they are read as g
     t = cat._compiled_form()
@@ -323,9 +322,7 @@ def test_associativity_with_broken_star_reads_every_triple(hecke3):
 def test_associativity_bump_away_from_the_generators(hecke4):
     # raise one summand of b_x∘b_y, neither x nor y a generator: the
     # certificate still finds a violation, and validate lists them all
-    from fiatcells._kernel import _generators
-
-    generators = {hecke4.morphs[g].label for g in _generators(hecke4)}
+    generators = {hecke4.morphs[g].label for g in hecke4._compiled_form().generating_set}
     doc = multicat_to_document(hecke4)
     entry = next(
         e for e in doc["compose"]
@@ -383,7 +380,7 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
         monkeypatch.setattr(_kernel, "_SLOT_BUDGET", budget)
         for name, cat in tables:
             t = cat._compiled_form()
-            generators = set(_kernel._generators(cat))
+            generators = set(t.generating_set)
             for certificate in (False, True):
                 read = set()
                 for gs, hs in _kernel._rows(t, certificate):
@@ -418,7 +415,13 @@ def reference_compile(cat):
 
     n = len(cat.morphs)
     star = cat.star_map
-    generators = set(_generators(cat))
+    # the row weights read pair by pair from the stored table
+    weight = [0] * n
+    for (g, f), out in cat.table.items():
+        if cat.composable(g, f) and not (cat.morphs[g].is_identity or cat.morphs[f].is_identity):
+            weight[g] += sum(out.values())
+    generating_set = _generators(cat, weight)
+    generators = set(generating_set)
     runs = [([], [], []) for _ in cat.objects]
     out_of = [[] for _ in cat.objects]
     for m in cat.morphs:
@@ -458,6 +461,7 @@ def reference_compile(cat):
     return _Compiled(
         n=n,
         into=[np.array(members, dtype=index) for members in into],
+        generating_set=generating_set,
         generators=[len(gens) for gens, _, _ in runs],
         out_of=out_of,
         star=np.array(star, dtype=index),
@@ -550,36 +554,36 @@ def reference_validate(cat):
     sorts only the suspect entries."""
     from fiatcells import model
 
-    report = model.ValidationReport()
+    violations = []
     morphs = cat.morphs
     for (g, f), out in sorted(cat.table.items()):
         gm, fm = morphs[g], morphs[f]
         if gm.src.index != fm.tgt.index:
-            report.violations.append(model.Violation(
+            violations.append(model.Violation(
                 "structure", (gm.label, fm.label), "stored composite of a non-composable pair",
             ))
             continue
         for k in sorted(out):
             km = morphs[k]
             if km.src.index != fm.src.index or km.tgt.index != gm.tgt.index:
-                report.violations.append(model.Violation(
+                violations.append(model.Violation(
                     "structure",
                     (gm.label, fm.label, km.label),
                     f"summand {km.label} has ends {km.src.label}->{km.tgt.label}, "
                     f"expected {fm.src.label}->{gm.tgt.label}",
                 ))
         if gm.is_identity and out != {f: 1}:
-            report.violations.append(model.Violation(
+            violations.append(model.Violation(
                 "unit-law", (gm.label, fm.label), "left unit composite differs from the unit law",
             ))
         if fm.is_identity and not gm.is_identity and out != {g: 1}:
-            report.violations.append(model.Violation(
+            violations.append(model.Violation(
                 "unit-law", (gm.label, fm.label), "right unit composite differs from the unit law",
             ))
-    model._check_star(cat, report)
-    if not any(v.law == "structure" for v in report.violations):
-        model._check_associativity(cat, report)
-    return report
+    model._check_star(cat, violations)
+    if not any(v.law == "structure" for v in violations):
+        model._check_associativity(cat, violations)
+    return model.ValidationReport(tuple(violations))
 
 
 MUTATIONS = ("wrong-ends", "non-composable", "unit-law", "empty", "star")
@@ -717,6 +721,44 @@ def test_cached_verdict_cannot_go_stale():
     assert not validate(load_multicat(three_morph_doc(3, 2))).ok
 
 
+def test_validate_caches_one_read_only_report():
+    import dataclasses
+
+    for cat in (load_multicat(three_morph_doc(2, 2)), load_multicat(three_morph_doc(3, 2))):
+        report = validate(cat)
+        assert validate(cat) is report
+        assert isinstance(report.violations, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.violations = ()
+    assert report.laws() == ["associativity"]
+
+
+@pytest.mark.parametrize("table", ["hecke3", "nonassoc.json", "badstar.json"])
+def test_validated_tables_are_not_validated_again(monkeypatch, hecke3, table):
+    # report_analyze and fiat_lint read the report validate cached: no
+    # second run of the associativity kernel, nor of its compilation
+    import pickle
+
+    from fiatcells import _kernel
+
+    cat = hecke3 if table == "hecke3" else load_multicat(FIXTURES / table)
+    cat = pickle.loads(pickle.dumps(cat))  # nothing cached
+    calls = []
+    for name in ("_associativity_violations", "_compile"):
+        def spy(*args, _name=name, _real=getattr(_kernel, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(_kernel, name, spy)
+    report = validate(cat)
+    ran = list(calls)
+    assert "_compile" in ran and "_associativity_violations" in ran
+    assert report_analyze(cat)["validation"]["ok"] == report.ok
+    assert fiat_lint(cat).ok == report.ok
+    assert validate(cat) is report
+    assert calls == ran
+
+
 def test_multicat_attributes_cannot_be_rebound():
     # rebinding table to a non-associative one must not leave a "valid"
     # verdict read off the private entries the kernel uses
@@ -724,7 +766,7 @@ def test_multicat_attributes_cannot_be_rebound():
     bad = load_multicat(three_morph_doc(3, 2))
     assert validate(cat).ok
     for name in ("table", "morphs", "objects", "star_map", "_entries", "_compiled",
-                 "_analysis", "_partitions", "new_attribute"):
+                 "_validation", "_analysis", "_partitions", "new_attribute"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(cat, name, getattr(bad, name, None))
     with pytest.raises(AttributeError, match="read-only"):
