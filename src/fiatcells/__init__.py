@@ -54,6 +54,7 @@ from .analysis import (
     cartan_matrix,
     cell_subcategory,
     check_left_cell_constancy,
+    classify_two_sided,
     duflo_element,
     fiat_lint,
     m_coeff,
@@ -65,7 +66,6 @@ from .cells import (
     acts_nonzero,
     annihilator_of_simple,
     cells,
-    classify_two_sided,
     comp_mult_principal,
     leq_L,
     leq_LR,

@@ -14,6 +14,14 @@ well defined:
   R with target j whose (H, F) entry is the multiplicity of the Duflo
   element in star(H)∘F.
 
+Everything here is derived once per table, by :func:`cell_analysis`:
+grouping each two-sided class by (right cell, left cell) decides its
+regularity and gives every m coefficient its target, and each strongly
+regular class gets one record of its invariants and of its analysis
+error (in the order :class:`CellAnalysis` gives).  The public readers
+check an index and a verdict and read a record; ``report_analyze`` and
+``fiat_lint`` read the records directly.
+
 ``fiat_lint`` runs the whole battery of necessary conditions for a
 table to decategorify anything fiat-like and reports each as data; a
 single failure raises the fiat-certified-impossible flag.
@@ -21,12 +29,13 @@ single failure raises the fiat-certified-impossible flag.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import permutations as _perms
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .cells import CellPartition, RegularityVerdict, _regularity, cells
+from .cells import CellPartition, RegularityVerdict, cells
 from .model import (
     MorphId,
     MultiCat,
@@ -43,6 +52,7 @@ __all__ = [
     "CartanBlock",
     "CheckResult",
     "LintReport",
+    "classify_two_sided",
     "duflo_element",
     "m_coeff",
     "m_table",
@@ -120,18 +130,18 @@ class LintReport:
         raise KeyError(check)
 
     def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            lines.append(f"{c.check}: {c.status.upper()}")
-            for w in c.witnesses:
-                lines.append(f"    {w}")
-        verdict = (
-            "fiat-certified-impossible"
-            if self.fiat_certified_impossible
-            else "all checks pass"
-        )
-        lines.append(f"verdict: {verdict}")
-        return "\n".join(lines)
+        checks = ((c.check, c.status, c.witnesses) for c in self.checks)
+        return "\n".join(_lint_lines(checks, self.fiat_certified_impossible))
+
+
+def _lint_lines(checks: Iterable[tuple[str, str, Iterable[str]]], impossible: bool) -> list[str]:
+    """The lines of a lint report, from (check, status, witnesses) triples:
+    ``LintReport`` and the JSON lint block render through it."""
+    lines = []
+    for check, status, witnesses in checks:
+        lines += [f"{check}: {status.upper()}", *(f"    {w}" for w in witnesses)]
+    verdict = "fiat-certified-impossible" if impossible else "all checks pass"
+    return lines + [f"verdict: {verdict}"]
 
 
 LINT_CHECKS = (
@@ -154,23 +164,49 @@ LINT_CHECKS = (
 # the cell analysis
 
 
-@dataclass(frozen=True)
-class CellAnalysis:
+class _ClassRecord(NamedTuple):
+    """The invariants of one strongly regular two-sided class.
+
+    ``targets`` maps each meeting (right class, left class) pair to its
+    member; ``self_dual[rc]`` lists the star-fixed members of right
+    class rc (the Duflo element, if only one); ``m[(F, H)]``, for
+    tgt(F) = tgt(H), is (target or None, m[F,H]); ``cartan[(rc, obj)]``
+    is (basis, matrix) of a block of a right class with a Duflo element;
+    ``unequal_diagonal[lc]`` lists the values m[F,F] takes on each left
+    class lc where they differ.  An entry that could not be computed
+    holds the error raised instead.  All indices; all but ``targets``
+    ordered by key.
+    """
+
+    targets: Mapping[tuple[int, int], int]
+    self_dual: Mapping[int, tuple[int, ...]]
+    m: Mapping[tuple[int, int], tuple[int | None, int] | ValueError]
+    cartan: Mapping[tuple[int, int], tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | ValueError]
+    unequal_diagonal: Mapping[int, tuple[int, ...]]
+    error: ValueError | None
+
+    @staticmethod
+    def read(entry):
+        """An entry of a record; an error stored in its place is raised anew."""
+        if isinstance(entry, ValueError):
+            raise type(entry)(*entry.args)
+        return entry
+
+
+class CellAnalysis(NamedTuple):
     """The invariants of every two-sided cell of one table, computed once.
 
-    ``verdicts[q]`` is the regularity verdict of two-sided class q; the
-    rest covers strongly regular classes only.  ``self_dual[rc]`` lists
-    the star-fixed members of right class rc (the Duflo element, if
-    only one).  ``m[q][(F, H)]``, for tgt(F) = tgt(H), is (target index
-    or None, m[F,H]); ``cartan[(rc, obj)]`` is (basis indices, matrix)
-    of a Cartan block of a right class with a Duflo element.  An entry
-    that could not be computed holds the error raised instead.
+    ``verdicts[q]`` is the regularity verdict of two-sided class q, and
+    ``records[q]`` the record of each strongly regular q.  A record's
+    ``error`` is what keeps its m table from being read, or None: an m
+    entry that failed other than by purity, on its own; otherwise every
+    purity failure among the m entries, joined by "; "; otherwise the
+    DufloError of the first right class without exactly one self-dual
+    member.  ``m_table`` raises it and ``report_analyze`` prints it.
     """
 
     verdicts: tuple[RegularityVerdict, ...]
-    self_dual: Mapping[int, tuple[int, ...]]
-    m: Mapping[int, Mapping[tuple[int, int], tuple[int | None, int] | ValueError]]
-    cartan: Mapping[tuple[int, int], tuple[tuple[int, ...], tuple[tuple, ...]] | ValueError]
+    records: Mapping[int, _ClassRecord]
 
 
 def cell_analysis(cat: MultiCat) -> CellAnalysis:
@@ -181,62 +217,122 @@ def cell_analysis(cat: MultiCat) -> CellAnalysis:
 def _analyze(cat: MultiCat) -> CellAnalysis:
     two_sided = cells(cat, "two-sided")
     right = cells(cat, "right")
-    verdicts = tuple(_regularity(cat, q) for q in range(len(two_sided.classes)))
-    self_dual, m, cartan = {}, {}, {}
-    for q in (v.two_sided_class for v in verdicts if v.strongly_regular):
-        members = sorted(two_sided.classes[q])
-        m[q] = MappingProxyType({
-            (f, h): _attempt(_m_entry, cat, q, f, h)
-            for f in members for h in members if cat.morphs[f].tgt.index == cat.morphs[h].tgt.index
-        })
-        for rc in sorted({right.class_of[i] for i in members}):
-            cell = sorted(right.classes[rc])
-            self_dual[rc] = tuple(i for i in cell if cat.star_map[i] == i)
-            if len(self_dual[rc]) == 1:
-                for obj in sorted({cat.morphs[i].tgt.index for i in cell}):
-                    basis = tuple(i for i in cell if cat.morphs[i].tgt.index == obj)
-                    cartan[(rc, obj)] = _attempt(_cartan_block, cat, self_dual[rc][0], basis)
-    return CellAnalysis(
-        verdicts, MappingProxyType(self_dual), MappingProxyType(m), MappingProxyType(cartan)
-    )
+    left = cells(cat, "left")
+    verdicts, records = [], {}
+    for q, members in enumerate(two_sided.classes):
+        members = sorted(members)
+        # right and left classes of members stay inside the class: the
+        # members in each nonempty (right class, left class) intersection
+        meets: dict[tuple[int, int], list[int]] = {}
+        for i in members:
+            meets.setdefault((right.class_of[i], left.class_of[i]), []).append(i)
+        verdicts.append(_verdict(q, right, meets))
+        if verdicts[-1].strongly_regular:
+            targets = {rl: meet[0] for rl, meet in meets.items()}
+            records[q] = _class_record(cat, q, members, MappingProxyType(targets))
+    return CellAnalysis(tuple(verdicts), MappingProxyType(records))
 
 
-def _attempt(compute, *args):
-    """``compute(*args)``, or the error it raised on a table that breaks the theory."""
-    try:
-        return compute(*args)
-    except (PurityError, NotComposableError) as e:
-        return e
+def _verdict(q: int, right: CellPartition, meets: dict) -> RegularityVerdict:
+    """The verdict on class q, from its nonempty right/left cell intersections."""
+    rcs = sorted({a for a, _ in meets})
+    lcs = sorted({b for _, b in meets})
+    comparable = [("comparable-right-cells", a, b) for i, a in enumerate(rcs) for b in rcs[i + 1 :]
+                  if right.leq_class(a, b) or right.leq_class(b, a)]
+    if comparable:
+        return RegularityVerdict(q, False, False, tuple(comparable))
+    oversized = [("intersection-not-singleton", b, a, tuple(meets[a, b]))
+                 for a in rcs for b in lcs if len(meets.get((a, b), ())) > 1]
+    # an empty intersection falsifies the structure theorem for regular
+    # cells: bad input
+    empty = tuple((b, a) for a in rcs for b in lcs if (a, b) not in meets)
+    witnesses = oversized + [("empty-intersection", b, a) for b, a in empty]
+    return RegularityVerdict(q, True, not oversized, tuple(witnesses), empty)
 
 
-def _value(entry):
-    """An analysis entry; an error stored in its place is raised anew."""
-    if isinstance(entry, ValueError):
-        raise type(entry)(*entry.args)
-    return entry
+def _class_record(cat: MultiCat, q: int, members: list[int], targets: Mapping) -> _ClassRecord:
+    """The record of the strongly regular class q with the sorted ``members``."""
+    right = cells(cat, "right")
+    left = cells(cat, "left")
+    star = cat.star_map
+    tgt = [m.tgt.index for m in cat.morphs]
+    m = {}
+    for f in members:
+        for h in members:
+            if tgt[f] == tgt[h]:
+                try:
+                    m[f, h] = _m_entry(cat, q, targets, f, h)
+                except (PurityError, NotComposableError) as e:
+                    m[f, h] = e
+
+    self_dual, cartan = {}, {}
+    for rc in sorted({right.class_of[i] for i in members}):
+        cell = sorted(right.classes[rc])
+        self_dual[rc] = tuple(i for i in cell if star[i] == i)
+        if len(self_dual[rc]) == 1:
+            for obj in sorted({tgt[i] for i in cell}):
+                basis = tuple(i for i in cell if tgt[i] == obj)
+                try:
+                    cartan[rc, obj] = _cartan_block(cat, self_dual[rc][0], basis)
+                except NotComposableError as e:
+                    cartan[rc, obj] = e
+
+    diagonal: dict[int, set[int]] = {}
+    for f in members:
+        if not isinstance(m[f, f], ValueError):
+            diagonal.setdefault(left.class_of[f], set()).add(m[f, f][1])
+    unequal = {lc: tuple(sorted(vs)) for lc, vs in sorted(diagonal.items()) if len(vs) > 1}
+
+    failures = [e for e in m.values() if isinstance(e, ValueError)]
+    error = next((e for e in failures if not isinstance(e, PurityError)), None)
+    if error is None and failures:
+        error = PurityError("; ".join(map(str, failures)))
+    if error is None:
+        error = next(filter(None, (_duflo_error(cat, rc, sd) for rc, sd in self_dual.items())), None)
+    return _ClassRecord(targets, *map(MappingProxyType, (self_dual, m, cartan, unequal)), error)
+
+
+def classify_two_sided(cat: MultiCat, q: int) -> RegularityVerdict:
+    """Regularity and strong regularity of the two-sided class ``q``.
+
+    Regular: no two distinct right cells inside the class are
+    comparable in the right order.  Strongly regular: additionally
+    every left/right cell intersection inside the class is a singleton.
+    Empty intersections on a regular class are recorded as an
+    input-integrity diagnostic (they cannot happen for tables coming
+    from the intended categories).  The verdict is read from the
+    table's cell analysis, which decides every class once, from the
+    members grouped by their (right cell, left cell) pair.
+    """
+    verdicts = cell_analysis(cat).verdicts
+    if not 0 <= q < len(verdicts):
+        raise IndexError(f"two-sided class index {q} out of range")
+    return verdicts[q]
+
+
+def _record(cat: MultiCat, q: int, morph: int | None = None) -> _ClassRecord:
+    """The record of two-sided class q, which must exist and be strongly
+    regular; the error names ``morph``, by default the least member."""
+    if not classify_two_sided(cat, q).strongly_regular:
+        if morph is None:
+            morph = min(cells(cat, "two-sided").classes[q])
+        raise NotStronglyRegularError(
+            f"two-sided cell of {cat.morphs[morph].label} is not strongly regular"
+        )
+    return cell_analysis(cat).records[q]
 
 
 # ---------------------------------------------------------------------------
 # Duflo elements and m coefficients
 
 
-def _strongly_regular_cell_of(cat: MultiCat, f: MorphId) -> int:
-    q = cells(cat, "two-sided").class_of[f.index]
-    if not cell_analysis(cat).verdicts[q].strongly_regular:
-        raise NotStronglyRegularError(
-            f"two-sided cell of {f.label} is not strongly regular"
+def _duflo_error(cat: MultiCat, rc: int, self_dual: tuple[int, ...]) -> DufloError | None:
+    """The error of right class rc if its star-fixed members are not exactly one."""
+    if len(self_dual) != 1:
+        return DufloError(
+            f"right cell {rc} has {len(self_dual)} self-dual elements "
+            f"({[cat.morphs[i].label for i in self_dual]}); expected exactly one"
         )
-    return q
-
-
-def _strongly_regular_members(cat: MultiCat, q: int) -> list[int]:
-    """The sorted members of the two-sided class ``q``; it must exist and be strongly regular."""
-    two_sided = cells(cat, "two-sided")
-    if not 0 <= q < len(two_sided.classes):
-        raise IndexError(f"two-sided class index {q} out of range")
-    members = sorted(two_sided.classes[q])
-    _strongly_regular_cell_of(cat, cat.morphs[members[0]])
-    return members
 
 
 def duflo_element(cat: MultiCat, right_class: int) -> MorphId:
@@ -244,14 +340,11 @@ def duflo_element(cat: MultiCat, right_class: int) -> MorphId:
     right = cells(cat, "right")
     if not 0 <= right_class < len(right.classes):
         raise IndexError(f"right class index {right_class} out of range")
-    _strongly_regular_cell_of(cat, cat.morphs[min(right.classes[right_class])])
-    self_dual = cell_analysis(cat).self_dual[right_class]
-    if len(self_dual) != 1:
-        labels = [cat.morphs[i].label for i in self_dual]
-        raise DufloError(
-            f"right cell {right_class} has {len(self_dual)} self-dual elements "
-            f"({labels}); expected exactly one"
-        )
+    least = min(right.classes[right_class])
+    self_dual = _record(cat, cells(cat, "two-sided").class_of[least], least).self_dual[right_class]
+    error = _duflo_error(cat, right_class, self_dual)
+    if error is not None:
+        raise error
     return cat.morphs[self_dual[0]]
 
 
@@ -280,25 +373,26 @@ def _restricted_composite(
     return kept, discarded
 
 
-def _m_entry(cat: MultiCat, q: int, f: int, h: int) -> tuple[int | None, int]:
-    """(target index or None, m[F,H]) for F and H in the strongly regular class q."""
-    right = cells(cat, "right")
-    left = cells(cat, "left")
-    fl, hl, sh = cat.morphs[f].label, cat.morphs[h].label, cat.star_map[h]
-    prediction = right.classes[right.class_of[f]] & left.classes[left.class_of[sh]]
-    if len(prediction) != 1:
-        # inside the cell this is a singleton by strong regularity; star(h)
-        # escaping the cell (a lintable failure itself) voids the prediction
+def _m_entry(cat: MultiCat, q: int, targets: Mapping, f: int, h: int) -> tuple[int | None, int]:
+    """(target index or None, m[F,H]) for F and H in the strongly regular
+    class q, whose ``targets`` are those of its record."""
+    two_sided = cells(cat, "two-sided")
+    sh = cat.star_map[h]
+    target = targets.get((cells(cat, "right").class_of[f], cells(cat, "left").class_of[sh]))
+    if target is None:
+        # inside the cell they meet in one element by strong regularity;
+        # star(h) escaping the cell (a lintable failure itself) voids the
+        # prediction
+        fl, hl = cat.morphs[f].label, cat.morphs[h].label
         raise PurityError(
             f"no unique target for star({hl})∘{fl}: the left cell of "
-            f"star({hl}) meets the right cell of {fl} in "
-            f"{len(prediction)} elements"
+            f"star({hl}) meets the right cell of {fl} in 0 elements"
         )
-    target = next(iter(prediction))
-    kept, _ = _restricted_composite(cat, cells(cat, "two-sided"), q, sh, f)
+    kept, _ = _restricted_composite(cat, two_sided, q, sh, f)
     if not kept:
         return None, 0
     if set(kept) != {target}:
+        fl, hl = cat.morphs[f].label, cat.morphs[h].label
         raise PurityError(
             f"star({hl})∘{fl} has summands "
             f"{sorted(cat.morphs[k].label for k in kept)} inside the cell, "
@@ -315,42 +409,27 @@ def m_coeff(cat: MultiCat, f: MorphId, h: MorphId) -> tuple[MorphId | None, int]
     PurityError when the within-cell part of the composite is not a
     multiple of G.
     """
-    q = _strongly_regular_cell_of(cat, f)
-    if cells(cat, "two-sided").class_of[h.index] != q:
+    two_sided = cells(cat, "two-sided")
+    q = two_sided.class_of[f.index]
+    record = _record(cat, q, f.index)
+    if two_sided.class_of[h.index] != q:
         raise NotStronglyRegularError(
             f"{f.label} and {h.label} lie in different two-sided cells"
         )
-    entry = cell_analysis(cat).m[q].get((f.index, h.index))
-    # a pair missing from the analysis has star(h)∘f not composable
-    target, m = _m_entry(cat, q, f.index, h.index) if entry is None else _value(entry)
+    entry = record.m.get((f.index, h.index))
+    if entry is None:  # tgt(f) != tgt(h): no m-table entry, nor a composite if star is valid
+        target, m = _m_entry(cat, q, record.targets, f.index, h.index)
+    else:
+        target, m = record.read(entry)
     return (None if target is None else cat.morphs[target]), m
 
 
 def m_table(cat: MultiCat, q: int) -> MTable:
     """Full m table over the strongly regular two-sided class ``q``."""
-    members = _strongly_regular_members(cat, q)
-    entries = cell_analysis(cat).m[q]
-    failures = [e for e in entries.values() if isinstance(e, ValueError)]
-    for e in failures:  # purity failures are reported together, others alone
-        if not isinstance(e, PurityError):
-            _value(e)
-    if failures:
-        raise PurityError("; ".join(map(str, failures)))
-    right = cells(cat, "right")
-    duflo = {
-        rc: duflo_element(cat, rc).index for rc in sorted({right.class_of[i] for i in members})
-    }
-    return MTable(cell=q, m=dict(entries), duflo=duflo)
-
-
-def _diagonal_by_left_class(cat: MultiCat, entries) -> dict[int, set[int]]:
-    """The values m[F,F] takes on each left class, from computed m entries."""
-    left = cells(cat, "left")
-    by_left: dict[int, set[int]] = {}
-    for (f, h), (_, m) in entries.items():
-        if f == h:
-            by_left.setdefault(left.class_of[f], set()).add(m)
-    return by_left
+    record = _record(cat, q)
+    record.read(record.error)
+    duflo = {rc: self_dual[0] for rc, self_dual in record.self_dual.items()}
+    return MTable(cell=q, m=dict(record.m), duflo=duflo)
 
 
 def check_left_cell_constancy(cat: MultiCat, q: int) -> tuple[bool, int | None]:
@@ -358,13 +437,9 @@ def check_left_cell_constancy(cat: MultiCat, q: int) -> tuple[bool, int | None]:
 
     Returns (True, None) or (False, witnessing left class index).
     """
-    return _left_cell_constancy(cat, m_table(cat, q).m)
-
-
-def _left_cell_constancy(cat: MultiCat, entries) -> tuple[bool, int | None]:
-    """check_left_cell_constancy, from the class's computed m entries."""
-    by_left = _diagonal_by_left_class(cat, entries)
-    return next(((False, lc) for lc in sorted(by_left) if len(by_left[lc]) > 1), (True, None))
+    record = _record(cat, q)
+    record.read(record.error)
+    return next(((False, lc) for lc in record.unequal_diagonal), (True, None))
 
 
 # ---------------------------------------------------------------------------
@@ -383,29 +458,26 @@ def cartan_matrix(cat: MultiCat, right_class: int, obj: int) -> CartanBlock:
     order.  Entry [H][F] is the multiplicity of the Duflo element in
     star(H)∘F, which computes the composition multiplicity [F L : L_H].
     """
-    right = cells(cat, "right")
-    if not 0 <= right_class < len(right.classes):
-        raise IndexError(f"right class index {right_class} out of range")
-    duflo_element(cat, right_class)  # the analysis has a block at each target from here on
-    entry = cell_analysis(cat).cartan.get((right_class, obj))
+    q = cells(cat, "two-sided").class_of[duflo_element(cat, right_class).index]
+    record = cell_analysis(cat).records[q]
+    entry = record.cartan.get((right_class, obj))
     if entry is None:
         raise ValueError(
             f"right cell {right_class} has no member with target object index {obj}"
         )
-    basis, matrix = _value(entry)
+    basis, matrix = record.read(entry)
     return CartanBlock(right_class, obj, [cat.morphs[i] for i in basis], [list(r) for r in matrix])
 
 
 def cartan_blocks(cat: MultiCat, q: int) -> dict[int, list[CartanBlock]]:
     """All Cartan blocks of the class, keyed by right class index."""
-    members = _strongly_regular_members(cat, q)
     right = cells(cat, "right")
     return {
         rc: [
             cartan_matrix(cat, rc, obj)
             for obj in sorted({cat.morphs[i].tgt.index for i in right.classes[rc]})
         ]
-        for rc in sorted({right.class_of[i] for i in members})
+        for rc in _record(cat, q).self_dual
     }
 
 
@@ -436,8 +508,9 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
     fails, or where a discarded summand is not strictly above the class,
     raises (PurityError for the latter, ValueError otherwise).
     """
-    members = _strongly_regular_members(cat, q)
+    _record(cat, q)
     two_sided = cells(cat, "two-sided")
+    members = sorted(two_sided.classes[q])
 
     # the kept morphs, identities and the class, renumbered in order
     in_class = set(members)
@@ -474,13 +547,7 @@ def cell_subcategory(cat: MultiCat, q: int) -> tuple[MultiCat, list[tuple[str, s
     report = validate(restricted)
     if not report.ok:
         raise ValueError(f"restriction broke the axioms: {report}")
-    new_two_sided = cells(restricted, "two-sided")
-    image = {new[i] for i in members}
-    image_classes = {new_two_sided.class_of[i] for i in image}
-    if not (
-        len(image_classes) == 1
-        and new_two_sided.classes[next(iter(image_classes))] == frozenset(image)
-    ):
+    if frozenset(new[i] for i in members) not in cells(restricted, "two-sided").classes:
         raise ValueError("the class did not survive restriction as a single two-sided cell")
     return restricted, discards
 
@@ -546,30 +613,27 @@ def fiat_lint(cat: MultiCat) -> LintReport:
         for (b, a) in v.empty_intersections
     ], any(v.regular for v in verdicts))
 
-    strong = [v.two_sided_class for v in verdicts if v.strongly_regular]
     bad: dict[str, list[str]] = {name: [] for name in LINT_CHECKS[3:]}
-    applicable = dict.fromkeys(LINT_CHECKS[3:], bool(strong))
+    applicable = dict.fromkeys(LINT_CHECKS[3:], bool(analysis.records))
     # these two apply only where their hypotheses find a witness
     applicable["self-dual-purity"] = applicable["m-product-identity"] = False
 
-    for q in strong:
+    for q, record in analysis.records.items():
         members = sorted(two_sided.classes[q])
-        self_dual = [h for h in members if cat.star_map[h] == h]
-        right_classes = {right.class_of[i] for i in members}
+        self_dual = sorted(h for sd in record.self_dual.values() for h in sd)
         bad["duflo-uniqueness"] += [
-            f"cell {q}, right class {rc}: self-dual elements "
-            f"{[labels[i] for i in analysis.self_dual[rc]]}"
-            for rc in right_classes
-            if len(analysis.self_dual[rc]) != 1
+            f"cell {q}, right class {rc}: self-dual elements {[labels[i] for i in sd]}"
+            for rc, sd in record.self_dual.items()
+            if len(sd) != 1
         ]
-        failures = [str(e) for e in analysis.m[q].values() if isinstance(e, ValueError)]
-        entries = {fh: e for fh, e in analysis.m[q].items() if not isinstance(e, ValueError)}
-        bad["m-purity"] += failures + [
-            f"m[{labels[f]},{labels[f]}] = 0" for f in members if entries.get((f, f), (0, 1))[1] < 1
+        bad["m-purity"] += [str(e) for e in record.m.values() if isinstance(e, ValueError)] + [
+            f"m[{labels[f]},{labels[f]}] = 0"
+            for f in members
+            if not isinstance(record.m[f, f], ValueError) and record.m[f, f][1] < 1
         ]
-        if failures or any(len(analysis.self_dual[rc]) != 1 for rc in right_classes):
+        if record.error is not None:
             continue  # m-dependent checks need a coherent table for this cell
-        m = {fh: e[1] for fh, e in entries.items()}
+        m = {fh: e[1] for fh, e in record.m.items()}
 
         # the coefficient is symmetric on right-equivalent composable pairs
         bad["m-symmetry"] += [
@@ -580,9 +644,7 @@ def fiat_lint(cat: MultiCat) -> LintReport:
 
         # F∘H = m[H,H]·F for self-dual H right-equivalent to F
         for h in self_dual:
-            for f in members:
-                if right.class_of[f] != right.class_of[h]:
-                    continue
+            for f in sorted(right.classes[right.class_of[h]]):
                 applicable["self-dual-purity"] = True
                 try:
                     kept, _ = _restricted_composite(cat, two_sided, q, f, h)
@@ -600,9 +662,7 @@ def fiat_lint(cat: MultiCat) -> LintReport:
             for h in self_dual:
                 if left.class_of[h] != left.class_of[f]:
                     continue
-                for g in self_dual:
-                    if right.class_of[g] != right.class_of[f]:
-                        continue
+                for g in record.self_dual[right.class_of[f]]:
                     applicable["m-product-identity"] = True
                     if (fs, fs) in m and m[f, f] * m[g, g] != m[fs, fs] * m[h, h]:
                         bad["m-product-identity"].append(
@@ -614,16 +674,14 @@ def fiat_lint(cat: MultiCat) -> LintReport:
         bad["cartan-symmetry"] += [
             f"cell {q}, right class {rc}, object "
             f"{cat.objects[obj].label}: asymmetric Cartan block"
-            for (rc, obj), (_, matrix) in analysis.cartan.items()
-            if rc in right_classes and tuple(zip(*matrix)) != matrix
+            for (rc, obj), (_, matrix) in record.cartan.items()
+            if tuple(zip(*matrix)) != matrix
         ]
 
         # a self-dual H left-equivalent to F dominates m[F,F] and is
         # divisible by it
         for h in self_dual:
-            for f in members:
-                if left.class_of[f] != left.class_of[h]:
-                    continue
+            for f in sorted(left.classes[left.class_of[h]]):
                 mf, mh = m[f, f], m[h, h]
                 if mf > mh:
                     bad["m-inequality"].append(
@@ -637,10 +695,9 @@ def fiat_lint(cat: MultiCat) -> LintReport:
 
         # the diagonal must be constant on left cells
         bad["left-cell-constancy"] += [
-            f"cell {q}: diagonal takes values {sorted(vals)} on left class "
+            f"cell {q}: diagonal takes values {list(vals)} on left class "
             f"{sorted(labels[i] for i in left.classes[lc])}"
-            for lc, vals in _diagonal_by_left_class(cat, entries).items()
-            if len(vals) > 1
+            for lc, vals in record.unequal_diagonal.items()
         ]
 
     for name in LINT_CHECKS[3:]:

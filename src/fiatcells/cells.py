@@ -49,7 +49,6 @@ __all__ = [
     "leq_LR",
     "cells",
     "verify_order_factorization",
-    "classify_two_sided",
     "acts_nonzero",
     "annihilator_of_simple",
     "comp_mult_principal",
@@ -300,46 +299,6 @@ def verify_order_factorization(cat: MultiCat):
             if not (lr == via_rl == via_lr):
                 return False, (cat.morphs[f], cat.morphs[g])
     return True, None
-
-
-def classify_two_sided(cat: MultiCat, q: int) -> RegularityVerdict:
-    """Regularity and strong regularity of the two-sided class ``q``.
-
-    Regular: no two distinct right cells inside the class are
-    comparable in the right order.  Strongly regular: additionally
-    every left/right cell intersection inside the class is a singleton.
-    Empty intersections on a regular class are recorded as an
-    input-integrity diagnostic (they cannot happen for tables coming
-    from the intended categories).  Verdicts are read from the table's
-    cell analysis, which computes each of them once.
-    """
-    from .analysis import cell_analysis  # analysis builds on this module
-
-    verdicts = cell_analysis(cat).verdicts
-    if not 0 <= q < len(verdicts):
-        raise IndexError(f"two-sided class index {q} out of range")
-    return verdicts[q]
-
-
-def _regularity(cat: MultiCat, q: int) -> RegularityVerdict:
-    """The verdict :func:`classify_two_sided` reports, computed afresh."""
-    members = cells(cat, "two-sided").classes[q]
-    right = cells(cat, "right")
-    left = cells(cat, "left")
-    rcs = sorted({right.class_of[m] for m in members})
-    lcs = sorted({left.class_of[m] for m in members})
-    comparable = [("comparable-right-cells", a, b) for i, a in enumerate(rcs) for b in rcs[i + 1 :]
-                  if right.leq_class(a, b) or right.leq_class(b, a)]
-    if comparable:
-        return RegularityVerdict(q, False, False, tuple(comparable))
-    meets = [(b, a, right.classes[a] & left.classes[b]) for a in rcs for b in lcs]
-    oversized = [("intersection-not-singleton", b, a, tuple(sorted(meet)))
-                 for b, a, meet in meets if len(meet) > 1]
-    # an empty intersection falsifies the structure theorem for regular
-    # cells: bad input
-    empty = tuple((b, a) for b, a, meet in meets if not meet)
-    witnesses = oversized + [("empty-intersection", b, a) for b, a in empty]
-    return RegularityVerdict(q, True, not oversized, tuple(witnesses), empty)
 
 
 # ---------------------------------------------------------------------------

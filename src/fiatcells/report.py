@@ -7,17 +7,8 @@ rendering.
 
 from __future__ import annotations
 
-from .analysis import (
-    DufloError,
-    LintReport,
-    NotStronglyRegularError,
-    PurityError,
-    _left_cell_constancy,
-    cartan_blocks,
-    fiat_lint,
-    m_table,
-)
-from .cells import cells, classify_two_sided
+from .analysis import LintReport, _lint_lines, cell_analysis, fiat_lint
+from .cells import cells
 from .model import MultiCat, ValidationReport, validate
 
 __all__ = ["report_analyze", "render_analyze_text"]
@@ -68,10 +59,10 @@ def report_analyze(cat: MultiCat) -> dict:
     doc["cells"] = {kind: _cells_section(cat, kind) for kind in ("left", "right", "two-sided")}
 
     two_sided = cells(cat, "two-sided")
+    analysis = cell_analysis(cat)
     sections = []
     m_diagonal: dict[str, int] = {}
-    for q in range(len(two_sided.classes)):
-        verdict = classify_two_sided(cat, q)
+    for q, verdict in enumerate(analysis.verdicts):
         section: dict = {
             "class": q,
             "members": sorted(cat.morphs[i].label for i in two_sided.classes[q]),
@@ -80,39 +71,39 @@ def report_analyze(cat: MultiCat) -> dict:
         }
         if verdict.witnesses:
             section["witnesses"] = [list(map(str, w)) for w in verdict.witnesses]
-        if verdict.strongly_regular:
-            try:
-                table = m_table(cat, q)
-                section["duflo"] = {
-                    str(rc): cat.morphs[i].label for rc, i in sorted(table.duflo.items())
+        record = analysis.records.get(q)
+        if record is not None and record.error is not None:
+            section["analysis_error"] = str(record.error)
+        elif record is not None:
+            section["duflo"] = {
+                str(rc): cat.morphs[self_dual[0]].label
+                for rc, self_dual in record.self_dual.items()
+            }
+            section["m_table"] = [
+                {
+                    "f": cat.morphs[f].label,
+                    "h": cat.morphs[h].label,
+                    "target": cat.morphs[t].label if t is not None else None,
+                    "m": m,
                 }
-                section["m_table"] = [
-                    {
-                        "f": cat.morphs[f].label,
-                        "h": cat.morphs[h].label,
-                        "target": cat.morphs[t].label if t is not None else None,
-                        "m": m,
-                    }
-                    for (f, h), (t, m) in sorted(table.m.items())
-                ]
-                for f, m in table.diagonal().items():
+                for (f, h), (t, m) in sorted(record.m.items())
+            ]
+            for (f, h), (_, m) in record.m.items():
+                if f == h:
                     m_diagonal[cat.morphs[f].label] = m
-                constant, witness = _left_cell_constancy(cat, table.m)
-                section["left_cell_constant"] = constant
-                if not constant:
-                    section["constancy_witness_left_class"] = witness
-                section["cartan_blocks"] = [
-                    {
-                        "right_cell": rc,
-                        "object": cat.objects[block.target_object].label,
-                        "basis": [b.label for b in block.basis],
-                        "matrix": block.matrix,
-                    }
-                    for rc, blocks in sorted(cartan_blocks(cat, q).items())
-                    for block in blocks
-                ]
-            except (DufloError, PurityError, NotStronglyRegularError) as e:
-                section["analysis_error"] = str(e)
+            witness = next(iter(record.unequal_diagonal), None)
+            section["left_cell_constant"] = witness is None
+            if witness is not None:
+                section["constancy_witness_left_class"] = witness
+            section["cartan_blocks"] = [
+                {
+                    "right_cell": rc,
+                    "object": cat.objects[obj].label,
+                    "basis": [cat.morphs[i].label for i in basis],
+                    "matrix": [list(row) for row in matrix],
+                }
+                for (rc, obj), (basis, matrix) in record.cartan.items()
+            ]
         sections.append(section)
     doc["two_sided_analysis"] = sections
     doc["m_diagonal"] = {
@@ -177,18 +168,9 @@ def render_analyze_text(doc: dict) -> str:
         )
 
     lines.append("== lint ==")
-    for c in doc["lint"]["checks"]:
-        lines.append(f"{c['check']}: {c['status'].upper()}")
-        for w in c["witnesses"]:
-            lines.append(f"    {w}")
-    lines.append(
-        "verdict: "
-        + (
-            "fiat-certified-impossible"
-            if doc["lint"]["fiat_certified_impossible"]
-            else "all checks pass"
-        )
-    )
+    lint = doc["lint"]
+    checks = ((c["check"], c["status"], c["witnesses"]) for c in lint["checks"])
+    lines += _lint_lines(checks, lint["fiat_certified_impossible"])
     return "\n".join(lines) + "\n"
 
 

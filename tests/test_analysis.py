@@ -5,6 +5,7 @@ import pytest
 
 from fiatcells import (
     DufloError,
+    NotComposableError,
     NotStronglyRegularError,
     PurityError,
     blocks_equal_up_to_permutation,
@@ -69,24 +70,9 @@ def test_class_index_out_of_range(sl2, read, kind):
 
 
 def test_duflo_error_without_unique_self_dual():
-    # a valid table whose star exchanges two singleton cells: each is a
-    # strongly regular cell without any self-dual element
-    doc = {
-        "objects": ["i"],
-        "morphisms": [
-            {"label": "1_i", "src": "i", "tgt": "i", "identity": True},
-            {"label": "A", "src": "i", "tgt": "i"},
-            {"label": "B", "src": "i", "tgt": "i"},
-        ],
-        "star": {"A": "B", "B": "A"},
-        "compose": [
-            {"g": "A", "f": "A", "out": [{"m": "A", "mult": 1}]},
-            {"g": "B", "f": "B", "out": [{"m": "B", "mult": 1}]},
-            {"g": "A", "f": "B", "out": []},
-            {"g": "B", "f": "A", "out": []},
-        ],
-    }
-    cat = load_multicat(doc)
+    # star_swap.json: a valid table whose star exchanges two singleton
+    # cells, each a strongly regular cell without any self-dual element
+    cat = load_multicat(FIXTURES / "star_swap.json")
     assert validate(cat).ok
     with pytest.raises(DufloError):
         duflo_element(cat, right_class_of(cat, "A"))
@@ -122,6 +108,16 @@ def test_m_coeff_hecke3_middle_and_top(hecke3):
 def test_m_coeff_requires_same_cell(sl2):
     with pytest.raises(NotStronglyRegularError):
         m_coeff(sl2, sl2.morph("1_i"), sl2.morph("theta"))
+
+
+def test_m_coeff_on_a_pair_that_does_not_compose(sl2):
+    # tgt(1_j) = j but tgt(theta_out) = i: star(theta_out) = theta_on
+    # cannot follow 1_j, so the pair has no entry in the m table
+    with pytest.raises(NotComposableError) as caught:
+        m_coeff(sl2, sl2.morph("1_j"), sl2.morph("theta_out"))
+    assert str(caught.value) == (
+        "cannot compose theta_on after 1_j: src(theta_on)=i != tgt(1_j)=j"
+    )
 
 
 def test_m_table_sl2(sl2):
@@ -303,22 +299,7 @@ def test_lint_names_failures_on_fixtures():
 def test_m_table_purity_error_when_star_escapes_cell():
     # star exchanging two incomparable singleton cells voids the predicted
     # target; m_table reports it as a purity diagnostic
-    doc = {
-        "objects": ["i"],
-        "morphisms": [
-            {"label": "1_i", "src": "i", "tgt": "i", "identity": True},
-            {"label": "A", "src": "i", "tgt": "i"},
-            {"label": "B", "src": "i", "tgt": "i"},
-        ],
-        "star": {"A": "B", "B": "A"},
-        "compose": [
-            {"g": "A", "f": "A", "out": [{"m": "A", "mult": 1}]},
-            {"g": "B", "f": "B", "out": [{"m": "B", "mult": 1}]},
-            {"g": "A", "f": "B", "out": []},
-            {"g": "B", "f": "A", "out": []},
-        ],
-    }
-    cat = load_multicat(doc)
+    cat = load_multicat(FIXTURES / "star_swap.json")
     with pytest.raises(PurityError):
         m_table(cat, two_sided_class_of(cat, "A"))
 
@@ -326,22 +307,7 @@ def test_m_table_purity_error_when_star_escapes_cell():
 def test_lint_star_cell_compat_failure():
     # star exchanges two generators that sit in incomparable cells (their
     # cross composites vanish), so F ~LR star(F) fails while validate passes
-    doc = {
-        "objects": ["i"],
-        "morphisms": [
-            {"label": "1_i", "src": "i", "tgt": "i", "identity": True},
-            {"label": "A", "src": "i", "tgt": "i"},
-            {"label": "B", "src": "i", "tgt": "i"},
-        ],
-        "star": {"A": "B", "B": "A"},
-        "compose": [
-            {"g": "A", "f": "A", "out": [{"m": "A", "mult": 1}]},
-            {"g": "B", "f": "B", "out": [{"m": "B", "mult": 1}]},
-            {"g": "A", "f": "B", "out": []},
-            {"g": "B", "f": "A", "out": []},
-        ],
-    }
-    cat = load_multicat(doc)
+    cat = load_multicat(FIXTURES / "star_swap.json")
     assert validate(cat).ok
     report = fiat_lint(cat)
     assert report.result("star-cell-compatibility").status == "fail"

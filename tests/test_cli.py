@@ -72,6 +72,15 @@ def test_analyze_text_golden(capsys):
     assert out == (GOLDEN / "analyze_sl2.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fixture", ["star_swap", "unequal_m"])
+def test_analyze_lint_failures_text_golden(capsys, fixture):
+    # star_swap: an "analysis error" line on each cell that star moves;
+    # unequal_m: every Duflo element exists, the m diagonal is not constant
+    code, out, _ = invoke(capsys, "analyze", str(FIXTURES / f"{fixture}.json"))
+    assert code == 2
+    assert out == (GOLDEN / f"analyze_{fixture}.txt").read_text(encoding="utf-8")
+
+
 def test_cells_text_golden(capsys):
     code, out, _ = invoke(capsys, "cells", "--kind", "right", str(GOLDEN / "s2.json"))
     assert code == 0

@@ -819,6 +819,24 @@ def test_bimodule_names_resolve_lazily():
     ]
 
 
+def test_cells_module_does_not_import_analysis():
+    # analysis builds on cells; an import the other way, even one inside
+    # a function, would bring the cycle back
+    import ast
+
+    import fiatcells
+
+    tree = ast.parse(pathlib.Path(fiatcells.__file__).with_name("cells.py").read_text("utf-8"))
+    imported = []  # each dotted name an import statement mentions
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.append(node.module)
+    assert "model" in imported, "the check reads the wrong file"
+    assert not [name for name in imported if "analysis" in name.split(".")], imported
+
+
 def test_serializer_is_canonical_utf8_lf():
     text = serialize_multicat(make_sl2_singular())
     assert "\r" not in text
