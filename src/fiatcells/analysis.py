@@ -229,7 +229,7 @@ def _analyze(cat: MultiCat) -> CellAnalysis:
         verdicts.append(_verdict(q, right, meets))
         if verdicts[-1].strongly_regular:
             targets = {rl: meet[0] for rl, meet in meets.items()}
-            records[q] = _class_record(cat, q, members, MappingProxyType(targets))
+            records[q] = _class_record(cat, q, members, targets)
     return CellAnalysis(tuple(verdicts), MappingProxyType(records))
 
 
@@ -250,20 +250,63 @@ def _verdict(q: int, right: CellPartition, meets: dict) -> RegularityVerdict:
     return RegularityVerdict(q, True, not oversized, tuple(witnesses), empty)
 
 
-def _class_record(cat: MultiCat, q: int, members: list[int], targets: Mapping) -> _ClassRecord:
-    """The record of the strongly regular class q with the sorted ``members``."""
+def _class_record(cat: MultiCat, q: int, members: list[int], targets: dict) -> _ClassRecord:
+    """The record of the strongly regular class q with the sorted ``members``.
+
+    The m entries come from one loop over the pairs of members, which
+    reads the partitions, the star map and the stored entries of the
+    table once per class.  m[F,H] is read off star(H)∘F in the quotient
+    attached to Q: its summands in Q are kept, those strictly above Q
+    discarded, and one below Q contradicts the order, which marks the
+    table as non-fiat.  The kept part must be a multiple of the target
+    of (right class of F, left class of star(H)); it is 0 when empty.
+    """
     right = cells(cat, "right")
     left = cells(cat, "left")
-    star = cat.star_map
+    two_sided = cells(cat, "two-sided")
+    star, morphs, entries = cat.star_map, cat.morphs, cat._entries
+    inside = set(members)
+    below = {k for k, p in two_sided.class_of.items() if p != q and two_sided.leq_class(p, q)}
     tgt = [m.tgt.index for m in cat.morphs]
-    m = {}
-    for f in members:
-        for h in members:
-            if tgt[f] == tgt[h]:
-                try:
-                    m[f, h] = _m_entry(cat, q, targets, f, h)
-                except (PurityError, NotComposableError) as e:
-                    m[f, h] = e
+    # F read by (F, right class, target, is identity); H by (H, star(H),
+    # left class of star(H), target, source of star(H), star(H) is identity)
+    rows = [(f, right.class_of[f], tgt[f], morphs[f].is_identity) for f in members]
+    cols = [(h, star[h], left.class_of[star[h]], tgt[h], morphs[star[h]].src.index,
+             morphs[star[h]].is_identity) for h in members]
+    m: dict[tuple[int, int], tuple[int | None, int] | ValueError] = {}
+    for f, rf, tf, f_is_identity in rows:
+        for h, sh, lsh, th, src_sh, sh_is_identity in cols:
+            if th != tf:
+                continue
+            target = targets.get((rf, lsh))
+            if target is None:
+                # inside the cell they meet in one element by strong
+                # regularity; star(h) escaping the cell (a lintable failure
+                # itself) voids the prediction
+                fl, hl = morphs[f].label, morphs[h].label
+                m[f, h] = PurityError(
+                    f"no unique target for star({hl})∘{fl}: the left cell of "
+                    f"star({hl}) meets the right cell of {fl} in 0 elements"
+                )
+                continue
+            if src_sh != tf:
+                m[f, h] = cat._not_composable(sh, f)
+                continue
+            out = {f: 1} if sh_is_identity else {sh: 1} if f_is_identity else entries.get((sh, f), {})
+            kept = inside.intersection(out)
+            if not below.isdisjoint(out):
+                m[f, h] = _below_cell(cat, next(k for k in out if k in below), sh, f)
+            elif not kept:
+                m[f, h] = None, 0
+            elif len(kept) != 1 or target not in kept:
+                fl, hl = morphs[f].label, morphs[h].label
+                m[f, h] = PurityError(
+                    f"star({hl})∘{fl} has summands "
+                    f"{sorted(morphs[k].label for k in kept)} inside the cell, "
+                    f"expected a multiple of {morphs[target].label}"
+                )
+            else:
+                m[f, h] = target, out[target]
 
     self_dual, cartan = {}, {}
     for rc in sorted({right.class_of[i] for i in members}):
@@ -289,7 +332,7 @@ def _class_record(cat: MultiCat, q: int, members: list[int], targets: Mapping) -
         error = PurityError("; ".join(map(str, failures)))
     if error is None:
         error = next(filter(None, (_duflo_error(cat, rc, sd) for rc, sd in self_dual.items())), None)
-    return _ClassRecord(targets, *map(MappingProxyType, (self_dual, m, cartan, unequal)), error)
+    return _ClassRecord(*map(MappingProxyType, (targets, self_dual, m, cartan, unequal)), error)
 
 
 def classify_two_sided(cat: MultiCat, q: int) -> RegularityVerdict:
@@ -348,6 +391,15 @@ def duflo_element(cat: MultiCat, right_class: int) -> MorphId:
     return cat.morphs[self_dual[0]]
 
 
+def _below_cell(cat: MultiCat, k: int, g: int, f: int) -> PurityError:
+    """The error for a summand k of g∘f below the two-sided cell of g∘f."""
+    return PurityError(
+        f"summand {cat.morphs[k].label} of "
+        f"{cat.morphs[g].label}∘{cat.morphs[f].label} lies below "
+        "its own two-sided cell; table is not fiat-consistent"
+    )
+
+
 def _restricted_composite(
     cat: MultiCat, two_sided: CellPartition, q: int, g: int, f: int
 ) -> tuple[dict[int, int], list[int]]:
@@ -364,41 +416,9 @@ def _restricted_composite(
             kept[k] = c
         else:
             if two_sided.leq_class(two_sided.class_of[k], q):
-                raise PurityError(
-                    f"summand {cat.morphs[k].label} of "
-                    f"{cat.morphs[g].label}∘{cat.morphs[f].label} lies below "
-                    "its own two-sided cell; table is not fiat-consistent"
-                )
+                raise _below_cell(cat, k, g, f)
             discarded.append(k)
     return kept, discarded
-
-
-def _m_entry(cat: MultiCat, q: int, targets: Mapping, f: int, h: int) -> tuple[int | None, int]:
-    """(target index or None, m[F,H]) for F and H in the strongly regular
-    class q, whose ``targets`` are those of its record."""
-    two_sided = cells(cat, "two-sided")
-    sh = cat.star_map[h]
-    target = targets.get((cells(cat, "right").class_of[f], cells(cat, "left").class_of[sh]))
-    if target is None:
-        # inside the cell they meet in one element by strong regularity;
-        # star(h) escaping the cell (a lintable failure itself) voids the
-        # prediction
-        fl, hl = cat.morphs[f].label, cat.morphs[h].label
-        raise PurityError(
-            f"no unique target for star({hl})∘{fl}: the left cell of "
-            f"star({hl}) meets the right cell of {fl} in 0 elements"
-        )
-    kept, _ = _restricted_composite(cat, two_sided, q, sh, f)
-    if not kept:
-        return None, 0
-    if set(kept) != {target}:
-        fl, hl = cat.morphs[f].label, cat.morphs[h].label
-        raise PurityError(
-            f"star({hl})∘{fl} has summands "
-            f"{sorted(cat.morphs[k].label for k in kept)} inside the cell, "
-            f"expected a multiple of {cat.morphs[target].label}"
-        )
-    return target, kept[target]
 
 
 def m_coeff(cat: MultiCat, f: MorphId, h: MorphId) -> tuple[MorphId | None, int]:
@@ -417,10 +437,15 @@ def m_coeff(cat: MultiCat, f: MorphId, h: MorphId) -> tuple[MorphId | None, int]
             f"{f.label} and {h.label} lie in different two-sided cells"
         )
     entry = record.m.get((f.index, h.index))
-    if entry is None:  # tgt(f) != tgt(h): no m-table entry, nor a composite if star is valid
-        target, m = _m_entry(cat, q, record.targets, f.index, h.index)
-    else:
-        target, m = record.read(entry)
+    if entry is None:  # tgt(f) != tgt(h): no m-table entry
+        sh = cat.star_map[h.index]
+        if not cat.composable(sh, f.index):  # as on every table whose star swaps ends
+            raise cat._not_composable(sh, f.index)
+        raise NotComposableError(
+            f"no m coefficient for {f.label}, {h.label}: "
+            f"tgt({f.label})={f.tgt.label} != tgt({h.label})={h.tgt.label}"
+        )
+    target, m = record.read(entry)
     return (None if target is None else cat.morphs[target]), m
 
 

@@ -30,7 +30,9 @@ so canonical documents round-trip bit-exactly.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -124,10 +126,11 @@ class MultiCat:
     ``table`` holds the stored compose entries keyed by morph index
     pairs ``(g, f)`` meaning the composite g∘f (g applied after f);
     identities are resolved by the unit law and never consulted in the
-    table.  ``table`` and its composites are read-only mappings over
-    copies of the composites passed in, and ``objects``, ``morphs`` and
-    ``star_map`` are tuples, so the derived data cached on the table can
-    never go stale.
+    table.  ``table`` and its composites are read-only mappings, and
+    ``objects``, ``morphs`` and ``star_map`` are tuples, so the derived
+    data cached on the table can never go stale.  The table owns the
+    composite dicts passed in: they are wrapped, not copied, so the
+    caller passes fresh dicts and never changes them afterwards.
     """
 
     def __init__(
@@ -140,7 +143,7 @@ class MultiCat:
         self.objects = tuple(objects)
         self.morphs = tuple(morphs)
         self.star_map = tuple(star)
-        self._entries = {gf: MappingProxyType(dict(out)) for gf, out in table.items()}
+        self._entries = {gf: MappingProxyType(out) for gf, out in table.items()}
         self.table = MappingProxyType(self._entries)
         self._by_label = {m.label: m for m in morphs}
         self._identity_of = {}
@@ -189,16 +192,20 @@ class MultiCat:
     def compose_idx(self, g: int, f: int) -> dict[int, int]:
         """Summands of g∘f by morph index; unit law applied without lookup."""
         if not self.composable(g, f):
-            raise NotComposableError(
-                f"cannot compose {self.morphs[g].label} after {self.morphs[f].label}: "
-                f"src({self.morphs[g].label})={self.morphs[g].src.label} != "
-                f"tgt({self.morphs[f].label})={self.morphs[f].tgt.label}"
-            )
+            raise self._not_composable(g, f)
         if self.morphs[g].is_identity:
             return {f: 1}
         if self.morphs[f].is_identity:
             return {g: 1}
         return self._entries.get((g, f), {})
+
+    def _not_composable(self, g: int, f: int) -> NotComposableError:
+        """The error for g∘f when src(g) != tgt(f)."""
+        gm, fm = self.morphs[g], self.morphs[f]
+        return NotComposableError(
+            f"cannot compose {gm.label} after {fm.label}: "
+            f"src({gm.label})={gm.src.label} != tgt({fm.label})={fm.tgt.label}"
+        )
 
     def compose(self, g: MorphId, f: MorphId) -> dict[MorphId, int]:
         return {self.morphs[k]: c for k, c in self.compose_idx(g.index, f.index).items()}
@@ -255,7 +262,8 @@ def _multicat(
 
     ``morph_specs`` rows are ``(label, src, tgt, is_identity)`` with
     object indices; ``star`` and ``table`` are by morph index, as in
-    :class:`MultiCat`.  Nothing is resolved or checked here.  The
+    :class:`MultiCat`, which takes ownership of the composite dicts of
+    ``table``.  Nothing is resolved or checked here.  The
     constructors call it with data they built themselves, and it is the
     last step of :func:`multicat_from_document`, which checks a
     document from outside and resolves its labels to indices first.
@@ -295,6 +303,27 @@ def _dangling(label, where: str) -> TableFormatError:
     return TableFormatError(f"{where}: dangling morphism reference {label!r}")
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector; the caller's state, enabled or
+    disabled, is restored on return and on error.
+
+    Parsing and resolving a document allocate tens of thousands of
+    containers (~72 k for the S5 Hecke table) and no reference cycle,
+    so each collection those allocations set off walks them and finds
+    nothing: reference counting frees them all.  Used as a decorator on
+    the public loaders, as Mercurial's ``util.nogc`` is.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def multicat_from_document(doc: dict) -> MultiCat:
     """Resolve an interchange document into a MultiCat.
 
@@ -303,7 +332,9 @@ def multicat_from_document(doc: dict) -> MultiCat:
     resolve, each object carries exactly one identity, and
     multiplicities must be positive integers.  Each failure is a
     :class:`TableFormatError` naming the field path.  The checked table
-    is built by :func:`_multicat` from its labels and indices.
+    is built by :func:`_multicat` from its labels and indices.  The
+    garbage collector is paused meanwhile, as in every public loader
+    (see :func:`_gc_paused`).
     """
     _expect(doc, dict, "document root")
     for key in ("objects", "morphisms", "star", "compose"):
@@ -406,6 +437,9 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise TableFormatError(f"parse error at line {e.lineno} col {e.colno}: {e.msg}") from None
+    except RecursionError:
+        # the C decoder recurses once per level of nesting
+        raise TableFormatError("parse error: nested too deeply") from None
 
 
 def _load_json(source):
@@ -422,11 +456,13 @@ def _load_json(source):
         return _parse_json(fh.read())
 
 
+@_gc_paused()
 def parse_multicat(text: str) -> MultiCat:
     """Parse the JSON text of an interchange document into a MultiCat."""
     return multicat_from_document(_parse_json(text))
 
 
+@_gc_paused()
 def load_multicat(source) -> MultiCat:
     """Load a table from a parsed dict, a file object, a path, or JSON text.
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import pathlib
 import random
@@ -17,6 +18,17 @@ from fiatcells import (
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the garbage collector disabled: the table
+    loaders pause it and must give it back."""
+    enabled = gc.isenabled()
+    yield
+    if enabled and not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from fiatcells import (
     m_coeff,
     m_table,
     make_CA,
+    multicat_to_document,
     random_cartan_data,
     report_analyze,
     serialize_multicat,
@@ -117,6 +118,21 @@ def test_m_coeff_on_a_pair_that_does_not_compose(sl2):
         m_coeff(sl2, sl2.morph("1_j"), sl2.morph("theta_out"))
     assert str(caught.value) == (
         "cannot compose theta_on after 1_j: src(theta_on)=i != tgt(1_j)=j"
+    )
+
+
+def test_m_coeff_on_a_pair_with_unequal_targets_when_star_keeps_ends(sl2):
+    # with star the identity, star(theta_out) = theta_out does follow 1_j,
+    # but tgt(1_j) = j != tgt(theta_out) = i: the pair still has no entry
+    # in the m table
+    doc = multicat_to_document(sl2)
+    doc["star"] = {}
+    cat = load_multicat(doc)
+    assert validate(cat).laws() == ["star-ends"]
+    with pytest.raises(NotComposableError) as caught:
+        m_coeff(cat, cat.morph("1_j"), cat.morph("theta_out"))
+    assert str(caught.value) == (
+        "no m coefficient for 1_j, theta_out: tgt(1_j)=j != tgt(theta_out)=i"
     )
 
 

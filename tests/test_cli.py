@@ -443,6 +443,31 @@ def test_malformed_json_text_exits_1_with_its_position(capsys, tmp_path, command
     assert "error: parse error at line 1 col 2" in err
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        (["validate"], '{"objects": ' + _DEEP + "}"),
+        (["lint", "-"], '{"compose": ' + _DEEP + "}"),
+        (_GEN_CA, _DEEP),
+        (_REALIZE, '{"algebras": ' + _DEEP + "}"),
+    ],
+    ids=["table", "table-stdin", "cartan", "algebras"],
+)
+def test_deeply_nested_json_exits_1(capsys, monkeypatch, tmp_path, command, document):
+    # the JSON decoder recurses once per level: 100,000 levels overflow it
+    if command[-1] == "-":
+        code, out, err = invoke_stdin(capsys, monkeypatch, document, *command)
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(document, encoding="utf-8")
+        code, out, err = invoke(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err == "fiatcells: error: parse error: nested too deeply\n"
+
+
 def test_int64_overflowing_table_is_not_associative(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(three_morph_doc(2**32, 2**33)), encoding="utf-8")

@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import pathlib
@@ -17,6 +19,7 @@ from fiatcells import (
     make_CA,
     make_s2,
     make_sl2_singular,
+    multicat_from_document,
     multicat_to_document,
     parse_multicat,
     random_cartan_data,
@@ -102,6 +105,64 @@ def test_load_errors():
             load_multicat(text)
     with pytest.raises(TableFormatError, match="document root must be a JSON object"):
         parse_multicat("1")
+
+
+def test_deeply_nested_json_is_a_format_error():
+    with pytest.raises(TableFormatError, match="^parse error: nested too deeply$"):
+        parse_multicat("[" * 100_000 + "]" * 100_000)
+
+
+def _loader_calls(tmp_path):
+    """(name, call) for each public loader on each source kind, each call
+    returning a table, raising TableFormatError, or failing to parse."""
+    good = serialize_multicat(make_s2())
+    bad = s2_doc()
+    bad["compose"][0]["g"] = "G"
+    path = tmp_path / "s2.json"
+    path.write_text(good, encoding="utf-8")
+    return [
+        ("document", lambda: load_multicat(s2_doc())),
+        ("text", lambda: load_multicat(good)),
+        ("path", lambda: load_multicat(path)),
+        ("file", lambda: load_multicat(io.StringIO(good))),
+        ("parse", lambda: parse_multicat(good)),
+        ("resolve", lambda: multicat_from_document(s2_doc())),
+        ("dangling", lambda: load_multicat(bad)),
+        ("resolve-dangling", lambda: multicat_from_document(bad)),
+        ("not-an-object", lambda: parse_multicat("1")),
+        ("json-error", lambda: load_multicat("{not json")),
+        ("parse-json-error", lambda: parse_multicat("{not json")),
+        ("too-deep", lambda: parse_multicat("[" * 100_000)),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_loaders_restore_the_collector_state(tmp_path, enabled):
+    # the loaders pause the garbage collector and give the caller's state
+    # back, enabled or disabled, on return and on error alike
+    was = gc.isenabled()
+    try:
+        for name, call in _loader_calls(tmp_path):
+            gc.enable() if enabled else gc.disable()
+            try:
+                call()
+            except TableFormatError:
+                pass
+            assert gc.isenabled() is enabled, name
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_loaded_table_does_not_share_the_document():
+    doc = s2_doc()
+    cat = load_multicat(doc)
+    text = serialize_multicat(cat)
+    doc["compose"][0]["out"][0]["mult"] = 7
+    doc["compose"].append({"g": "F", "f": "1_i", "out": []})
+    doc["morphisms"][1]["label"] = "G"
+    doc["star"]["F"] = "1_i"
+    doc["objects"].append("j")
+    assert serialize_multicat(cat) == text
 
 
 def test_validate_builtin_clean():
