@@ -9,11 +9,13 @@ m of the pair g∘f is ``pair * n + m``, and scatter-added into one
 accumulator: (h∘g)∘f with ``np.add.at``, h∘(g∘f) with
 ``np.subtract.at``.  A slot left non-zero witnesses a violation.  Pairs
 are numbered target group by target group, so the pairs of a run of g
-rows are consecutive and their slots one range; the accumulator covers
-one such run (a block) at a time.  It is allocated once per call, and
-after each block only the slots that block left non-zero are cleared, so
-the work follows the number of terms, not the number of slots (n⁴ for a
-table on one object).
+rows are consecutive and their slots one range (a block).  The
+accumulator holds one copy of a block per h, for a chunk of h at once:
+as many as fit ``_SLOT_BUDGET``, so one scatter pair reads every h of a
+small table's block, and a block over budget on its own is read one h
+at a time.  It is allocated once per call, and after each chunk only
+the slots that chunk left non-zero are cleared, so the work follows the
+number of terms, not the number of slots (n⁴ for a table on one object).
 
 It reads each triple at most once, and only where the triple can fail.
 A triple with an identity in it holds by the unit law, which
@@ -53,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # accumulator slots per kernel block: a run of g rows whose pairs hold at
-# most this many slots (one g row on its own may hold more).  Keeps the
+# most this many slots (one g row on its own may hold more), and per
+# chunk of h, which holds one copy of the block per h.  Keeps the
 # accumulator at 1 MB of int64 whatever the size of the table; on the
 # 120-morph S5 table 2^18 ran ~8% faster but raised peak memory ~4%
 _SLOT_BUDGET = 1 << 17
@@ -346,45 +349,62 @@ def _associativity_violations(t: _Compiled, certificate: bool) -> list[tuple[int
     among the generators when ``certificate``; that list is empty
     exactly when the table is associative (see the module docstring).
 
-    For each block of g rows, and for each non-identity h, the terms of
-    (h∘g)∘f, f not an identity, are added into the accumulator and those
-    of h∘(g∘f) subtracted, each at its slot less the block's first slot.
-    The slots left non-zero name the violating pairs (g, f) and are
-    zeroed for the next block.
+    The non-identity h of a block of g rows are read in chunks of
+    ``max(1, _SLOT_BUDGET // used)``, ``used`` the slots of the block,
+    so that one copy of the block per h fits the budget; a block over
+    budget on its own is read one h at a time.  Copy i of a chunk is
+    the slot range ``i * used : (i + 1) * used``.  For the whole chunk
+    at once, the terms of (h∘g)∘f, f not an identity, are added into the
+    accumulator and those of h∘(g∘f) subtracted, each in the copy of its
+    h at its slot less the block's first slot.  A slot left non-zero
+    reads as ``divmod(slot, used)``: the h of the copy and the slot of
+    the violating pair (g, f); it is zeroed for the next chunk.
     """
     n, k, c, first, row_len, entry_first = t.n, t.k, t.c, t.first, t.row_len, t.entry_first
+    pair_first = t.pair_first
     blocks = [(gs, hs, _blocks(t, gs)) for gs, hs in _rows(t, certificate)]
-    used = [used for _, _, runs in blocks for _, _, used in runs]
-    acc = np.zeros(max(used, default=0), dtype=c.dtype)
+    # a chunk's copies hold at most max(_SLOT_BUDGET, used) slots
+    size = [used * min(len(hs), max(1, _SLOT_BUDGET // used))
+            for _, hs, runs in blocks for _, _, used in runs]
+    acc = np.zeros(max(size, default=0), dtype=c.dtype)
     bad = []
     for gs, hs, runs in blocks:
-        for a, b, _ in runs:
-            base = t.pair_first[gs[a]]  # the block's first pair
+        for a, b, used in runs:
+            base = pair_first[gs[a]]  # the block's first pair
             # h∘(g∘f): each entry of g∘f, a summand k' times h∘k'
             rows = _spans(first[gs[a:b]], row_len[gs[a:b]])
             row_rank = t.rank[k[rows]]
             row_slot = (t.p[rows] - base) * n
             row_c = c[rows]
-            for h in hs:
-                h_pairs = entry_first[t.pair_first[h]:]  # h∘g starts at h_pairs[rank[g]]
+            per = max(1, _SLOT_BUDGET // used)
+            for i in range(0, len(hs), per):
+                chunk = hs[i:i + per]
+                h_first = pair_first[chunk]  # h∘x is pair h_first + rank[x]
+                copy = np.arange(len(chunk), dtype=pair_first.dtype) * used
                 # (h∘g)∘f: each entry of h∘g, a summand k times k∘f
-                s, e = h_pairs[a], h_pairs[b]
+                s = entry_first[h_first + a]
+                lengths = entry_first[h_first + b] - s
+                hg = _spans(s, lengths)
                 left = _scatter(
-                    np.add, acc, c, t.lead[s:e] - base * n, c[s:e],
-                    first[k[s:e]], row_len[k[s:e]], t.fm,
+                    np.add, acc, c, t.lead[hg] - base * n + np.repeat(copy, lengths), c[hg],
+                    first[k[hg]], row_len[k[hg]], t.fm,
                 )
-                hk_first = h_pairs[row_rank]
+                hk = h_first[:, None] + row_rank
+                hk_first = entry_first[hk]
                 right = _scatter(
-                    np.subtract, acc, c, row_slot, row_c,
-                    hk_first, h_pairs[row_rank + 1] - hk_first, k,
+                    np.subtract, acc, c, (copy[:, None] + row_slot).ravel(),
+                    np.tile(row_c, len(chunk)), hk_first.ravel(),
+                    (entry_first[hk + 1] - hk_first).ravel(), k,
                 )
                 slots = np.concatenate(
                     (left[np.flatnonzero(acc[left])], right[np.flatnonzero(acc[right])])
                 )
                 if len(slots):
                     acc[slots] = 0
-                    for pair in set((slots // n + base).tolist()):
-                        bad.append((h, int(t.pair_g[pair]), int(t.pair_f[pair])))
+                    # slot // n is copy * (used // n) + pair - base
+                    for at, pair in {divmod(j, used // n) for j in (slots // n).tolist()}:
+                        pair += base
+                        bad.append((chunk[at], int(t.pair_g[pair]), int(t.pair_f[pair])))
     return sorted(bad)  # h runs object by object
 
 

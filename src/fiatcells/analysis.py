@@ -472,8 +472,28 @@ def check_left_cell_constancy(cat: MultiCat, q: int) -> tuple[bool, int | None]:
 
 
 def _cartan_block(cat: MultiCat, duflo: int, basis: tuple[int, ...]) -> tuple[tuple, tuple]:
-    matrix = [[cat.compose_idx(cat.star_map[h], f).get(duflo, 0) for f in basis] for h in basis]
-    return basis, tuple(map(tuple, matrix))
+    """(basis, matrix) with entry [H][F] the multiplicity of ``duflo`` in
+    star(H)∘F, for H, F in ``basis``, which all end at one object.
+
+    The stored entries and the unit law are read once per block, as
+    ``compose_idx`` reads them pair by pair.  The first (H, F) in
+    row-major order that does not compose raises NotComposableError.
+    """
+    star, morphs, entries = cat.star_map, cat.morphs, cat._entries
+    obj = morphs[basis[0]].tgt.index
+    is_identity = [morphs[f].is_identity for f in basis]
+    matrix = []
+    for h in basis:
+        sh = star[h]
+        if morphs[sh].src.index != obj:
+            raise cat._not_composable(sh, basis[0])
+        if morphs[sh].is_identity:
+            row = [int(f == duflo) for f in basis]
+        else:
+            row = [int(sh == duflo) if f_is_identity else entries.get((sh, f), {}).get(duflo, 0)
+                   for f, f_is_identity in zip(basis, is_identity)]
+        matrix.append(tuple(row))
+    return basis, tuple(matrix)
 
 
 def cartan_matrix(cat: MultiCat, right_class: int, obj: int) -> CartanBlock:

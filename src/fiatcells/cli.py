@@ -14,7 +14,6 @@ tool version, the seed, and a hash of the input for provenance.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -83,6 +82,8 @@ def _load_table(path: str) -> tuple[MultiCat, str]:
 def _envelope(args, text: str | None) -> dict:
     doc = {"tool": "fiatcells", "version": __version__, "seed": getattr(args, "seed", 0)}
     if text is not None:
+        import hashlib  # only --json needs it: loading it at start-up costs ~4 ms
+
         doc["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return doc
 

@@ -193,6 +193,43 @@ def test_cartan_block_s2_matches_dual_numbers(s2):
     assert block.matrix == [[2]]  # the Cartan matrix of Q[x]/(x^2)
 
 
+def reference_cartan_block(cat, duflo, basis):
+    """The Cartan block read pair by pair through ``compose_idx``."""
+    matrix = [[cat.compose_idx(cat.star_map[h], f).get(duflo, 0) for f in basis] for h in basis]
+    return basis, tuple(map(tuple, matrix))
+
+
+def test_cartan_block_matches_compose_idx(sl2):
+    from conftest import corpus
+
+    from fiatcells.analysis import _cartan_block
+
+    def outcome(block, cat, duflo, basis):
+        try:
+            return block(cat, duflo, basis)
+        except NotComposableError as e:
+            return str(e)
+
+    # with star the identity, star(H) need not follow the members of a basis
+    tables = corpus() + stored_tables()
+    for name, cat in [("sl2", sl2), ("cartan_mixed.json", dict(tables)["cartan_mixed.json"])]:
+        doc = multicat_to_document(cat)
+        doc["star"] = {}
+        tables.append((name + ", star kept ends", load_multicat(doc)))
+    errors = 0
+    for name, cat in tables:
+        right = cells(cat, "right")
+        for members in right.classes:
+            for obj in range(len(cat.objects)):
+                basis = tuple(sorted(i for i in members if cat.morphs[i].tgt.index == obj))
+                for duflo in basis:
+                    want = outcome(reference_cartan_block, cat, duflo, basis)
+                    assert outcome(_cartan_block, cat, duflo, basis) == want, (name, basis)
+                    # raised for the first pair that does not compose
+                    errors += isinstance(want, str) and len(basis) > 1
+    assert errors
+
+
 def test_cartan_diagonal_equals_m_diagonal(hecke3, hecke4, sl2):
     for cat in (sl2, hecke3, hecke4):
         ts = cells(cat, "two-sided")

@@ -421,11 +421,25 @@ def huge_tables():
             ("cartan*2^31+1", bumped(cartan, scale=2**31))]
 
 
+def kernel_chunks(t, certificate):
+    """(g rows of a block, h of a chunk, h per chunk) for every chunk the
+    kernel reads: the non-identity h of a block in runs of
+    ``max(1, _SLOT_BUDGET // used)``."""
+    from fiatcells import _kernel
+
+    for gs, hs in _kernel._rows(t, certificate):
+        for a, b, used in _kernel._blocks(t, gs):
+            per = max(1, _kernel._SLOT_BUDGET // used)
+            for i in range(0, len(hs), per):
+                yield gs[a:b].tolist(), hs[i:i + per], per
+
+
 def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
     from fiatcells import _kernel
 
     huge = huge_tables()
     assert all(cat._compiled_form().c.dtype == object for _, cat in huge)
+    mixed = dict(stored_tables())["cartan_mixed.json"]
     tables = stored_tables() + huge + [
         ("hecke3", hecke3),
         ("hecke4", hecke4),
@@ -433,11 +447,19 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
         ("hecke4+1", bumped(hecke4)),
         ("hecke4+star", star_bumped(hecke4, [(7, 1, 1), (40, 0, 2)])),
         ("cartan*2^31+star", star_bumped(huge[0][1], [(3, 0, 1)])),
+        ("cartan_mixed+1", bumped(mixed)),
     ]
     want = {name: brute_force_associativity(cat) for name, cat in tables}
     assert want["cartan*2^31"] == [] and want["cartan*2^31+1"] and want["hecke4+1"]
-    assert want["hecke4+star"] and want["cartan*2^31+star"]
-    for budget in (1, 2**30):
+    assert want["hecke4+star"] and want["cartan*2^31+star"] and want["cartan_mixed+1"]
+    # h per chunk that left a partial last chunk, and the tables on which
+    # one violating (g, f) failed under two h of one chunk of several
+    partial, shared = set(), set()
+    # 1: every g its own block, over budget, one h per chunk; 2 and 10
+    # rows of hecke4 (24 morphs): a g row of hecke4 alone in its block
+    # reads 2 h per chunk, and a last block of 3 rows 3 h; 2^30: every
+    # target group one block, all its h one chunk
+    for budget in (1, 2 * 24**2, 10 * 24**2, 2**30):
         monkeypatch.setattr(_kernel, "_SLOT_BUDGET", budget)
         for name, cat in tables:
             t = cat._compiled_form()
@@ -452,10 +474,18 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
                     assert cat.morphs[into[-1]].is_identity
                     assert not any(cat.morphs[x].is_identity for x in gs.tolist() + hs)
                     read |= set(gs.tolist())
-                    # budget 1: every g is a block of its own, over budget;
-                    # budget 2^30: every target group is one block
+                    # blocks: consecutive runs covering gs, each with the
+                    # slots of its pairs, within budget unless one g row
                     runs = _kernel._blocks(t, gs)
-                    assert len(runs) == (len(gs) if budget == 1 else 1)
+                    assert [a for a, _, _ in runs] == [0] + [b for _, b, _ in runs[:-1]]
+                    assert runs[-1][1] == len(gs)
+                    for a, b, used in runs:
+                        assert used == int(t.pair_count[gs[a:b]].sum()) * t.n
+                        assert used <= budget or b - a == 1
+                    if budget == 1:
+                        assert len(runs) == len(gs)
+                    if budget == 2**30:
+                        assert len(runs) == 1
                 # every non-identity g that a non-identity h can follow, or
                 # for the certificate every such generator
                 assert read == {
@@ -463,7 +493,41 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
                     if not g.is_identity and (not certificate or g.index in generators)
                     and any(not h.is_identity and h.src == g.tgt for h in cat.morphs)
                 }, (name, certificate)
+            for rows, chunk, per in kernel_chunks(t, False):
+                if len(chunk) < per:
+                    partial.add(per)
+                pairs = [(g, f) for h, g, f in want[name] if h in chunk and g in rows]
+                if len(pairs) > len(set(pairs)):
+                    shared.add(name)
             assert_kernel_matches(cat, want[name], (name, budget))
+    assert {2, 3} <= partial
+    assert "cartan_mixed+1" in shared
+
+
+def test_associativity_kernel_scatters_twice_per_block(monkeypatch):
+    # at the default budget every h of a block of cartan_12 is one chunk,
+    # read with one scatter per side
+    import numpy as np
+
+    from fiatcells import _kernel
+
+    cat = dict(stored_tables())["cartan_12.json"]
+    t = cat._compiled_form()
+    calls = []
+
+    def scatter(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    real = _kernel._scatter
+    monkeypatch.setattr(_kernel, "_scatter", scatter)
+    for certificate in (False, True):
+        calls.clear()
+        assert kernel_associativity(cat, certificate) == []
+        blocks = sum(len(_kernel._blocks(t, gs)) for gs, _ in _kernel._rows(t, certificate))
+        assert blocks and calls == [np.add, np.subtract] * blocks
+        chunks = list(kernel_chunks(t, certificate))
+        assert len(chunks) == blocks and any(len(hs) > 1 for _, hs, _ in chunks)
 
 
 def reference_compile(cat):
@@ -843,8 +907,8 @@ def test_cli_import_skips_numpy_and_networkx():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fiatcells.__file__).parents[1]))
     code = (
         "import sys, fiatcells.cli; "
-        "print(sorted(m for m in ('numpy', 'networkx', 'fiatcells.bimodule', 'fiatcells.linalg')"
-        " if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'networkx', 'fiatcells.bimodule', 'fiatcells.linalg',"
+        " 'hashlib') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
