@@ -9,25 +9,20 @@ edge sets.  All three are reflexive (take H to be an identity).  By
 construction the right preorder only relates morphisms with equal
 source and the left preorder only morphisms with equal target.
 
-:func:`preorder_closure` computes every reachability set once per table
-and kind, and everything else is read off it, with no graph library:
-the cells are the classes of mutual reachability, one class lies below
-another when the second is reachable from the first, and the order is
-stored as its Hasse diagram (the covering pairs).
-
-The graph has two edge sources, and the verdict that
-:func:`~fiatcells.model.validate` caches on the table picks one.  A
-table that validates needs only the edges of the generating set S that
-validation found (the simple reflections on a Hecke table): every
-non-identity is a summand of a product of generators, so with positive
-multiplicities and associativity every H∘F is reached from F one
-generator at a time.  Any other table, never validated or not valid,
-reads an edge for every summand of every stored entry.  Either graph is
-closed the same way: its strongly connected classes, which are the
-cells, are found sinks first by one iterative Tarjan search, and a
-class's reach set is its members together with the reach sets of the
-classes it points to, shared by all its members.  This module imports
-no numpy: S is a plain list on the table's compiled form.
+:func:`preorder_closure` builds the right and left graphs in one pass
+over the table, takes the two-sided graph as their union, and computes
+the reachability sets of all three kinds once per table; everything else
+is read off them, with no graph library: the cells are the classes of
+mutual reachability, one class lies below another when the second is
+reachable from the first, and the order is stored as its Hasse diagram
+(the covering pairs).  Which composites the pass reads, every composite
+composition reads or only those with a generator, is stated on
+:func:`preorder_closure`.  Each graph is closed the same way: its
+strongly connected classes, which are the cells, are found sinks first
+by one iterative Tarjan search, and a class's reach set is its members
+together with the reach sets of the classes it points to, shared by all
+its members.  This module imports no numpy: the generating set is a
+plain list on the table's compiled form.
 """
 
 from __future__ import annotations
@@ -95,48 +90,47 @@ class RegularityVerdict:
 # preorder graphs and closures
 
 
-def _edges(cat: MultiCat, kind: str, generators: list[int] | None = None) -> list[set[int]]:
-    """The preorder graph as adjacency sets; its two edge sources are
-    described in :func:`preorder_closure`.
+def _graphs(cat: MultiCat) -> tuple[list[set[int]], list[set[int]]]:
+    """The right and left preorder graphs as adjacency sets, from one pass
+    over the composites that :func:`preorder_closure` names.
 
-    With ``generators``, F -> each summand of s∘F (right) or F∘s (left)
-    for s among them; without, F -> each summand of every stored H∘F
-    (right) or F∘H (left).  Both add the identity edges.  No self-loop
-    is stored: the closure puts every morph in its own reach set.
+    A composite g∘f gives f an edge to each of its summands in the right
+    graph and g one in the left graph; both graphs get the identity
+    edges.  No self-loop is stored: the closure puts every morph in its
+    own reach set.
     """
-    right = kind in ("right", "two-sided")
-    left = kind in ("left", "two-sided")
-    morphs, table = cat.morphs, cat.table
-    adj: list[set[int]] = [set() for _ in morphs]
+    morphs, entries = cat.morphs, cat._entries
+    src = [m.src.index for m in morphs]
+    tgt = [m.tgt.index for m in morphs]
+    identity = [m.is_identity for m in morphs]
     out_of: list[list[int]] = [[] for _ in cat.objects]
     into: list[list[int]] = [[] for _ in cat.objects]
     for m in morphs:
         out_of[m.src.index].append(m.index)
         into[m.tgt.index].append(m.index)
-    if generators is None:
-        for (g, f), out in table.items():
-            if right:
-                adj[f].update(out)
-            if left:
-                adj[g].update(out)
-    for s in generators or ():
-        # an identity F adds nothing that the identity edges do not
-        if right:
-            for f in into[morphs[s].src.index]:
-                adj[f].update(table.get((s, f), ()))
-        if left:
-            for g in out_of[morphs[s].tgt.index]:
-                adj[g].update(table.get((g, s), ()))
-    # unit-law composites are not stored but do generate order:
+    report = cat._validation
+    if report is not None and report.ok:
+        gens = cat._compiled_form().generating_set
+        pairs = [(s, f) for s in gens for f in into[src[s]]]
+        pairs += [(g, s) for s in gens for g in out_of[tgt[s]]]
+        composites = [(gf, entries[gf]) for gf in pairs if gf in entries]
+    else:
+        composites = entries.items()
+    right: list[set[int]] = [set() for _ in morphs]
+    left: list[set[int]] = [set() for _ in morphs]
+    for (g, f), out in composites:
+        # composition never reads a stored pair that does not compose or
+        # has an identity in it
+        if src[g] == tgt[f] and not (identity[g] or identity[f]):
+            right[f].update(out)
+            left[g].update(out)
     # h∘1_t = h puts 1_t below every h with source t in the right order,
     # and 1_t∘f = f puts 1_t below every f with target t in the left order
     for m in morphs:
         if m.is_identity:
-            if right:
-                adj[m.index].update(out_of[m.src.index])
-            if left:
-                adj[m.index].update(into[m.src.index])
-    return adj
+            right[m.index].update(out_of[m.src.index])
+            left[m.index].update(into[m.src.index])
+    return right, left
 
 
 def _closure(adj: list[set[int]]) -> dict[int, frozenset[int]]:
@@ -192,35 +186,39 @@ def _closure(adj: list[set[int]]) -> dict[int, frozenset[int]]:
 def preorder_closure(cat: MultiCat, kind: str) -> Mapping[int, frozenset[int]]:
     """Reachability sets of the preorder graph, memoized on the table.
 
-    Two edge sources give the same reachability on a table that
-    validates, and the cached verdict of
+    The graphs read every composite composition reads: the stored entries
+    of composable pairs of non-identities, and the unit law.  The first
+    call builds the right and left graphs in one pass (``_graphs``) and
+    closes them and their union, the two-sided graph, so the three kinds
+    are computed together.  Two sets of composites give the same
+    reachability on a table that validates, and the cached verdict of
     :func:`~fiatcells.model.validate` picks one; no setting does.
 
-    * On a table whose cached report is ``ok``, the edges come from the
-      generating set S that validation found (``_kernel._generators``):
-      F -> the summands of s∘F for the right order, of F∘s for the left,
-      s in S, plus the identity edges.  That is enough: unit propagation
-      reaches every non-identity H as a summand of a product of
-      generators, so with positive multiplicities and associativity a
-      summand G of H∘F is reached from F by one generator at a time, as
-      a summand of s₁∘(s₂∘(⋯(s_k∘F))), and likewise on the left.
+    * On a table whose cached report is ``ok``, only the composites with
+      a generator are read, from the generating set S that validation
+      found (``_kernel._generators``): s∘F and F∘s for s in S.  That is
+      enough: unit propagation reaches every non-identity H as a summand
+      of a product of generators, so with positive multiplicities and
+      associativity a summand G of H∘F is reached from F by one generator
+      at a time, as a summand of s₁∘(s₂∘(⋯(s_k∘F))), and likewise on the
+      left.
     * Every other table, never validated or not valid, reads every
-      stored entry: the argument needs associativity, and the cells of
-      a broken table are still reported.
+      composite: the argument needs associativity, and the cells of a
+      broken table are still reported.
 
     Either way one closure routine over the condensation computes the
     sets (``_closure``).  The result is a read-only mapping, cached on
     the table and shared by every caller, as the partitions of
     :func:`cells` are; the members of a cell share one frozenset.
     """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     closures = cat._closures
-    if kind not in closures:
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        report = cat._validation
-        valid = report is not None and report.ok
-        generators = cat._compiled_form().generating_set if valid else None
-        closures[kind] = MappingProxyType(_closure(_edges(cat, kind, generators)))
+    if not closures:
+        right, left = _graphs(cat)
+        both = [r | l for r, l in zip(right, left)]
+        for k, adj in (("left", left), ("right", right), ("two-sided", both)):
+            closures[k] = MappingProxyType(_closure(adj))
     return closures[kind]
 
 

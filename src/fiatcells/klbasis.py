@@ -47,7 +47,6 @@ from .permutations import Permutation, all_permutations
 
 __all__ = [
     "kl_polynomial",
-    "mu_coefficient",
     "canonical_basis",
     "canonical_basis_by_bar_invariance",
     "kl_structure_constants",
@@ -139,11 +138,6 @@ def kl_polynomial(n: int, x: Permutation, w: Permutation) -> LaurentPoly:
         if 2 * p.max_exp() > w.length() - x.length() - 1:
             raise ArithmeticError(f"degree bound violated for P({x.one_line},{w.one_line})")
     return p
-
-
-def mu_coefficient(n: int, z: Permutation, y: Permutation) -> int:
-    """Coefficient of q^((l(y)-l(z)-1)/2) in P_{z,y}; zero unless the gap is odd."""
-    return _mu(n, z.one_line, y.one_line)
 
 
 def _mu(n: int, z: PermKey, y: PermKey) -> int:

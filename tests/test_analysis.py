@@ -5,6 +5,7 @@ import pytest
 
 from fiatcells import (
     DufloError,
+    MultiCat,
     NotComposableError,
     NotStronglyRegularError,
     PurityError,
@@ -27,6 +28,8 @@ from fiatcells import (
     serialize_multicat,
     validate,
 )
+
+from fiatcells.analysis import cell_analysis
 
 from conftest import FIXTURES, stored_tables
 
@@ -347,6 +350,25 @@ def test_lint_names_failures_on_fixtures():
     badstar = fiat_lint(load_multicat(FIXTURES / "badstar.json"))
     assert badstar.result("validity").status == "fail"
     assert any("star-anti-automorphism" in w for w in badstar.result("validity").witnesses)
+
+
+def test_lint_reads_no_composite_after_the_analysis(monkeypatch, hecke3):
+    # validity reads the cached report and every other check the cell
+    # analysis, so a table validated and analysed is never composed again
+    tables = stored_tables() + [("hecke3", hecke3), ("ca", make_CA([[2, 1], [1, 2]]))]
+    want = {}
+    for name, cat in tables:
+        want[name] = str(fiat_lint(load_multicat(serialize_multicat(cat))))
+        validate(cat)
+        cell_analysis(cat)
+
+    def compose_idx(self, g, f):
+        raise AssertionError("fiat_lint composed a pair")
+
+    monkeypatch.setattr(MultiCat, "compose_idx", compose_idx)
+    for name, cat in tables:
+        assert str(fiat_lint(cat)) == want[name], name
+    assert any(fiat_lint(cat).result("self-dual-purity").status == "pass" for _, cat in tables)
 
 
 def test_m_table_purity_error_when_star_escapes_cell():

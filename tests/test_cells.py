@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fiatcells import (
+    MultiCat,
     NotComposableError,
     acts_nonzero,
     annihilator_of_simple,
@@ -16,6 +17,7 @@ from fiatcells import (
     leq_L,
     leq_LR,
     leq_R,
+    load_multicat,
     make_CA,
     make_hecke,
     random_cartan_data,
@@ -222,14 +224,15 @@ def reference_cells(cat, kind):
     F <= K when a chain of edges leads from F to K: for the right order
     an edge F -> K for each summand K of a composite H∘F, for the left
     order for each summand K of F∘H, and both for the two-sided order.
-    The composites are the stored ones and those of the unit law.
+    The composites are those ``compose_idx`` gives on every composable
+    pair, so a stored entry that composition never reads adds no edge.
     """
     n = len(cat.morphs)
-    composites = list(cat.table.items()) + [
+    composites = [
         ((g, f), cat.compose_idx(g, f))
         for g in range(n)
         for f in range(n)
-        if cat.composable(g, f) and (cat.morphs[g].is_identity or cat.morphs[f].is_identity)
+        if cat.composable(g, f)
     ]
     le = [[i == j for j in range(n)] for i in range(n)]
     for (g, f), out in composites:
@@ -290,24 +293,66 @@ def assert_cells_match_reference(cat, name):
         assert (copy._validation is not None) == validated, name
 
 
+def unread_entry_tables():
+    """Two invalid tables, each with a stored entry that composition never
+    reads: 1_i∘F = G against the unit law, and G∘F stored although G and
+    F do not compose."""
+    unit = load_multicat({
+        "objects": ["i"],
+        "morphisms": [
+            {"label": "1_i", "src": "i", "tgt": "i", "identity": True},
+            {"label": "F", "src": "i", "tgt": "i"},
+            {"label": "G", "src": "i", "tgt": "i"},
+        ],
+        "star": {},
+        "compose": [
+            {"g": "F", "f": "F", "out": [{"m": "F", "mult": 2}]},
+            {"g": "G", "f": "G", "out": [{"m": "G", "mult": 2}]},
+            {"g": "1_i", "f": "F", "out": [{"m": "G", "mult": 1}]},
+        ],
+    })
+    apart = load_multicat({
+        "objects": ["i", "j"],
+        "morphisms": [
+            {"label": "1_i", "src": "i", "tgt": "i", "identity": True},
+            {"label": "1_j", "src": "j", "tgt": "j", "identity": True},
+            {"label": "F", "src": "i", "tgt": "i"},
+            {"label": "G", "src": "j", "tgt": "j"},
+        ],
+        "star": {},
+        "compose": [
+            {"g": "F", "f": "F", "out": [{"m": "F", "mult": 1}]},
+            {"g": "G", "f": "G", "out": [{"m": "G", "mult": 1}]},
+            {"g": "G", "f": "F", "out": [{"m": "G", "mult": 1}]},
+        ],
+    })
+    return [("stored unit entry", unit), ("stored non-composable entry", apart)]
+
+
 def test_cells_match_reference(hecke3, hecke4):
-    tables = stored_tables() + [("hecke3", hecke3), ("hecke4", hecke4)]
+    tables = stored_tables() + [("hecke3", hecke3), ("hecke4", hecke4)] + unread_entry_tables()
     assert {"nonassoc.json", "cartan_12.json", "sl2.json"} <= {name for name, _ in tables}
     for name, cat in tables:
         assert_cells_match_reference(cat, name)
 
 
 def edge_sources(monkeypatch):
-    """The edge source each closure reads, recorded in order: "generators"
-    or "every entry"."""
+    """The composites each graph build reads, one item per build in order:
+    "generators" when it reads the generating set, "every entry" when not."""
     read = []
-    edges = cells_module._edges
+    graphs, compiled = cells_module._graphs, MultiCat._compiled_form
 
-    def spy(cat, kind, generators=None):
-        read.append("every entry" if generators is None else "generators")
-        return edges(cat, kind, generators)
+    def generating(cat):
+        read[-1] = "generators"
+        return compiled(cat)
 
-    monkeypatch.setattr(cells_module, "_edges", spy)
+    def spy(cat):
+        read.append("every entry")
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiCat, "_compiled_form", generating)
+            return graphs(cat)
+
+    monkeypatch.setattr(cells_module, "_graphs", spy)
     return read
 
 
@@ -326,19 +371,26 @@ def test_the_cached_verdict_picks_the_edge_source(monkeypatch, hecke3):
             read.clear()
             for kind in KINDS:
                 preorder_closure(copy, kind)
-            assert read == [source if validated else "every entry"] * 3, (name, validated)
+                cells(copy, kind)
+            # one build serves all three kinds
+            assert read == [source if validated else "every entry"], (name, validated)
+            assert set(copy._closures) == set(KINDS), (name, validated)
 
 
 def test_generator_edges_match_every_edge_on_hecke5(monkeypatch):
-    # the Warshall reference is too slow at 120 morphs: the generator
-    # path against the path that reads every stored entry
+    # the Warshall reference is too slow at 120 morphs: on S5 and on every
+    # stored table that validates, the generator path against the path
+    # that reads every composite
     read = edge_sources(monkeypatch)
-    cat = make_hecke(5)
-    every, generated = fresh(cat, False), fresh(cat, True)
-    for kind in KINDS:
-        assert preorder_closure(generated, kind) == preorder_closure(every, kind), kind
-        assert cells(generated, kind) == cells(every, kind), kind
-    assert read.count("every entry") == read.count("generators") == 3
+    tables = [(name, cat) for name, cat in stored_tables() if validate(cat).ok]
+    assert len(tables) >= 5
+    tables.append(("hecke5", make_hecke(5)))
+    for name, cat in tables:
+        every, generated = fresh(cat, False), fresh(cat, True)
+        for kind in KINDS:
+            assert preorder_closure(generated, kind) == preorder_closure(every, kind), (name, kind)
+            assert cells(generated, kind) == cells(every, kind), (name, kind)
+    assert read.count("every entry") == read.count("generators") == len(tables)
     assert len(cells(generated, "right").classes) == 26
     assert len(cells(generated, "two-sided").classes) == 7
 

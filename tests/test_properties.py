@@ -102,8 +102,6 @@ def test_m_diagonal_positive(cat):
 
 @pytest.mark.parametrize("cat", CATS, ids=IDS)
 def test_self_dual_composites_are_pure(cat):
-    from fiatcells.analysis import _restricted_composite
-
     right = cells(cat, "right")
     for q, ts in strongly_regular_classes(cat):
         table = m_table(cat, q)
@@ -114,7 +112,11 @@ def test_self_dual_composites_are_pure(cat):
             for f in members:
                 if right.class_of[f] != right.class_of[h]:
                     continue
-                kept, _ = _restricted_composite(cat, ts, q, f, h)
+                # F∘H in the quotient attached to the cell: its summands
+                # inside the cell, none of the others below it
+                out = cat.compose_idx(f, h)
+                assert all(ts.leq_class(q, ts.class_of[k]) for k in out)
+                kept = {k: c for k, c in out.items() if ts.class_of[k] == q}
                 m_hh = table.m[(h, h)][1]
                 assert kept == {f: m_hh}, (
                     f"{cat.morphs[f].label}∘{cat.morphs[h].label} is not "
