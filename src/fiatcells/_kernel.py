@@ -132,10 +132,8 @@ def _generators(cat, weight: list[int]) -> list[int]:
     reaches that one.  A product that misses more waits in ``waiting``
     under each summand it misses, with their count, until one is left.
     """
-    morphs, table = cat.morphs, cat.table
-    src = [m.src.index for m in morphs]
-    tgt = [m.tgt.index for m in morphs]
-    reached = [m.is_identity for m in morphs]
+    table, src, tgt, identity = cat.table, cat._src, cat._tgt, cat._is_identity
+    reached = list(identity)
     gens: list[int] = []
     # the generators, and the reached non-identities already multiplied
     # by every generator, by source and by target object
@@ -154,7 +152,7 @@ def _generators(cat, weight: list[int]) -> list[int]:
             for k in missing:
                 waiting.setdefault(k, []).append(product)
 
-    for s in sorted((m.index for m in morphs if not m.is_identity), key=lambda g: (weight[g], g)):
+    for s in sorted((m for m in range(len(src)) if not identity[m]), key=lambda g: (weight[g], g)):
         if reached[s]:
             continue
         gens.append(s)
@@ -202,9 +200,7 @@ def _compile(cat) -> _Compiled:
     (pair, k), and ``bincount`` counts them per pair.
     """
     n = len(cat.morphs)
-    src = [m.src.index for m in cat.morphs]
-    tgt = [m.tgt.index for m in cat.morphs]
-    identity = [m.is_identity for m in cat.morphs]
+    src, tgt, identity = cat._src, cat._tgt, cat._is_identity
     # the stored entries composition reads, one item per summand
     entry_g: list[int] = []
     entry_f: list[int] = []
@@ -234,13 +230,13 @@ def _compile(cat) -> _Compiled:
     # per target object: the generators, the other non-identities, the identity
     runs: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in cat.objects]
     out_of: list[list[int]] = [[] for _ in cat.objects]
-    for m in cat.morphs:
-        gens, others, ident = runs[m.tgt.index]
-        if m.is_identity:
-            ident.append(m.index)
+    for m in range(n):
+        gens, others, ident = runs[tgt[m]]
+        if identity[m]:
+            ident.append(m)
         else:
-            (gens if m.index in generators else others).append(m.index)
-            out_of[m.src.index].append(m.index)
+            (gens if m in generators else others).append(m)
+            out_of[src[m]].append(m)
     into = [a + b + c for a, b, c in runs]
     pair_count = [len(into[o]) for o in src]
     pairs = sum(pair_count)

@@ -18,9 +18,10 @@ Everything here is derived once per table, by :func:`cell_analysis`:
 grouping each two-sided class by (right cell, left cell) decides its
 regularity and gives every m coefficient its target, and each strongly
 regular class gets one record of its invariants and of its analysis
-error (in the order :class:`CellAnalysis` gives).  The public readers
-check an index and a verdict and read a record; ``report_analyze`` and
-``fiat_lint`` read the records directly.
+error (in the order :class:`CellAnalysis` gives), reading each
+composite star(H)∘F once for its m entry and its Cartan entry.  The
+public readers check an index and a verdict and read a record;
+``report_analyze`` and ``fiat_lint`` read the records directly.
 
 ``fiat_lint`` runs the whole battery of necessary conditions for a
 table to decategorify anything fiat-like and reports each as data; a
@@ -229,7 +230,7 @@ def _analyze(cat: MultiCat) -> CellAnalysis:
         verdicts.append(_verdict(q, right, meets))
         if verdicts[-1].strongly_regular:
             targets = {rl: meet[0] for rl, meet in meets.items()}
-            records[q] = _class_record(cat, q, members, targets)
+            records[q] = _class_record(cat, members, targets)
     return CellAnalysis(tuple(verdicts), MappingProxyType(records))
 
 
@@ -250,34 +251,60 @@ def _verdict(q: int, right: CellPartition, meets: dict) -> RegularityVerdict:
     return RegularityVerdict(q, True, not oversized, tuple(witnesses), empty)
 
 
-def _class_record(cat: MultiCat, q: int, members: list[int], targets: dict) -> _ClassRecord:
-    """The record of the strongly regular class q with the sorted ``members``.
+def _class_record(cat: MultiCat, members: list[int], targets: dict) -> _ClassRecord:
+    """The record of a strongly regular class Q with the sorted ``members``.
 
-    The m entries come from one loop over the pairs of members, which
-    reads the partitions, the star map and the stored entries of the
-    table once per class.  m[F,H] is read off star(H)∘F in the quotient
-    attached to Q: its summands in Q are kept, those strictly above Q
-    discarded, and one below Q contradicts the order, which marks the
-    table as non-fiat.  The kept part must be a multiple of the target
-    of (right class of F, left class of star(H)); it is 0 when empty.
+    One loop over the pairs (F, H) of members with tgt(F) = tgt(H)
+    reads each star(H)∘F once, for the m entry and, when F and H share
+    a right cell with one Duflo element, for the Cartan entry.  m[F,H]
+    keeps the summands in Q and discards the others, all strictly above
+    Q: the right graph puts every summand of a composable star(H)∘F
+    above F, and the unit law keeps this for identities.  The kept part
+    must be a multiple of the target of (right class of F, left class of
+    star(H)); it is 0 when empty.  A Cartan block holds the error of its
+    first H whose star does not compose, with the block's first member.
     """
     right = cells(cat, "right")
     left = cells(cat, "left")
-    two_sided = cells(cat, "two-sided")
     star, morphs, entries = cat.star_map, cat.morphs, cat._entries
+    src, tgt, identity = cat._src, cat._tgt, cat._is_identity
     inside = set(members)
-    below = {k for k, p in two_sided.class_of.items() if p != q and two_sided.leq_class(p, q)}
-    tgt = [m.tgt.index for m in cat.morphs]
+
+    # the basis and matrix of every block, by key in order, and the place
+    # of each basis member in its block
+    self_dual, bases, matrices, place = {}, {}, {}, {}
+    for rc in sorted({right.class_of[i] for i in members}):
+        cell = sorted(right.classes[rc])
+        self_dual[rc] = tuple(i for i in cell if star[i] == i)
+        if len(self_dual[rc]) == 1:
+            for obj in sorted({tgt[i] for i in cell}):
+                bases[rc, obj] = basis = tuple(i for i in cell if tgt[i] == obj)
+                matrices[rc, obj] = [[0] * len(basis) for _ in basis]
+                place.update((i, j) for j, i in enumerate(basis))
+    failed: dict[tuple[int, int], NotComposableError] = {}  # blocks that do not compose
+
     # F read by (F, right class, target, is identity); H by (H, star(H),
-    # left class of star(H), target, source of star(H), star(H) is identity)
-    rows = [(f, right.class_of[f], tgt[f], morphs[f].is_identity) for f in members]
-    cols = [(h, star[h], left.class_of[star[h]], tgt[h], morphs[star[h]].src.index,
-             morphs[star[h]].is_identity) for h in members]
+    # right class, left class of star(H), target, source of star(H),
+    # star(H) is identity)
+    rows = [(f, right.class_of[f], tgt[f], identity[f]) for f in members]
+    cols = [(h, star[h], right.class_of[h], left.class_of[star[h]], tgt[h], src[star[h]],
+             identity[star[h]]) for h in members]
     m: dict[tuple[int, int], tuple[int | None, int] | ValueError] = {}
     for f, rf, tf, f_is_identity in rows:
-        for h, sh, lsh, th, src_sh, sh_is_identity in cols:
+        matrix = matrices.get((rf, tf))  # None unless rf has one Duflo element
+        for h, sh, rh, lsh, th, src_sh, sh_is_identity in cols:
             if th != tf:
                 continue
+            if src_sh != tf:
+                out = cat._not_composable(sh, f)
+            else:
+                out = {f: 1} if sh_is_identity else {sh: 1} if f_is_identity else entries.get((sh, f), {})
+            if matrix is not None and rh == rf:
+                # F runs in ascending order: the first failure is at the first member
+                if isinstance(out, NotComposableError):
+                    failed.setdefault((rf, tf), out)
+                else:
+                    matrix[place[h]][place[f]] = out.get(self_dual[rf][0], 0)
             target = targets.get((rf, lsh))
             if target is None:
                 # inside the cell they meet in one element by strong
@@ -289,18 +316,11 @@ def _class_record(cat: MultiCat, q: int, members: list[int], targets: dict) -> _
                     f"star({hl}) meets the right cell of {fl} in 0 elements"
                 )
                 continue
-            if src_sh != tf:
-                m[f, h] = cat._not_composable(sh, f)
+            if isinstance(out, NotComposableError):
+                m[f, h] = out
                 continue
-            out = {f: 1} if sh_is_identity else {sh: 1} if f_is_identity else entries.get((sh, f), {})
             kept = inside.intersection(out)
-            if not below.isdisjoint(out):
-                k = next(k for k in out if k in below)
-                m[f, h] = PurityError(
-                    f"summand {morphs[k].label} of {morphs[sh].label}∘{morphs[f].label} "
-                    "lies below its own two-sided cell; table is not fiat-consistent"
-                )
-            elif not kept:
+            if not kept:
                 m[f, h] = None, 0
             elif len(kept) != 1 or target not in kept:
                 fl, hl = morphs[f].label, morphs[h].label
@@ -311,18 +331,8 @@ def _class_record(cat: MultiCat, q: int, members: list[int], targets: dict) -> _
                 )
             else:
                 m[f, h] = target, out[target]
-
-    self_dual, cartan = {}, {}
-    for rc in sorted({right.class_of[i] for i in members}):
-        cell = sorted(right.classes[rc])
-        self_dual[rc] = tuple(i for i in cell if star[i] == i)
-        if len(self_dual[rc]) == 1:
-            for obj in sorted({tgt[i] for i in cell}):
-                basis = tuple(i for i in cell if tgt[i] == obj)
-                try:
-                    cartan[rc, obj] = _cartan_block(cat, self_dual[rc][0], basis)
-                except NotComposableError as e:
-                    cartan[rc, obj] = e
+    cartan = {key: failed.get(key) or (basis, tuple(map(tuple, matrices[key])))
+              for key, basis in bases.items()}
 
     diagonal: dict[int, set[int]] = {}
     for f in members:
@@ -443,31 +453,6 @@ def check_left_cell_constancy(cat: MultiCat, q: int) -> tuple[bool, int | None]:
 
 # ---------------------------------------------------------------------------
 # Cartan blocks
-
-
-def _cartan_block(cat: MultiCat, duflo: int, basis: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """(basis, matrix) with entry [H][F] the multiplicity of ``duflo`` in
-    star(H)∘F, for H, F in ``basis``, which all end at one object.
-
-    The stored entries and the unit law are read once per block, as
-    ``compose_idx`` reads them pair by pair.  The first (H, F) in
-    row-major order that does not compose raises NotComposableError.
-    """
-    star, morphs, entries = cat.star_map, cat.morphs, cat._entries
-    obj = morphs[basis[0]].tgt.index
-    is_identity = [morphs[f].is_identity for f in basis]
-    matrix = []
-    for h in basis:
-        sh = star[h]
-        if morphs[sh].src.index != obj:
-            raise cat._not_composable(sh, basis[0])
-        if morphs[sh].is_identity:
-            row = [int(f == duflo) for f in basis]
-        else:
-            row = [int(sh == duflo) if f_is_identity else entries.get((sh, f), {}).get(duflo, 0)
-                   for f, f_is_identity in zip(basis, is_identity)]
-        matrix.append(tuple(row))
-    return basis, tuple(matrix)
 
 
 def cartan_matrix(cat: MultiCat, right_class: int, obj: int) -> CartanBlock:

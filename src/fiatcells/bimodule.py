@@ -369,11 +369,10 @@ def tensor_over(m: Bimodule, n: Bimodule, max_dim: int = DEFAULT_DIMENSION_CAP) 
     (m·b)⊗n - m⊗(b·n) over basis elements; the left action of the left
     algebra of M and right action of the right algebra of N descend.
     """
-    if m.right is not n.left:
-        if m.right.name != n.left.name or m.right.dim != n.left.dim:
-            raise ValueError(
-                f"tensor over mismatched middle algebras {m.right.name} vs {n.left.name}"
-            )
+    if not _same_algebra(m.right, n.left):
+        raise ValueError(
+            f"tensor over mismatched middle algebras {m.right.name} vs {n.left.name}"
+        )
     full = m.dim * n.dim
     if full > max_dim:
         raise DimensionCapError(
@@ -416,8 +415,13 @@ def tensor_over(m: Bimodule, n: Bimodule, max_dim: int = DEFAULT_DIMENSION_CAP) 
                     left_action, right_action)
 
 
+def _same_algebra(a: Algebra, b: Algebra) -> bool:
+    """Whether ``a`` and ``b`` are one algebra, by value: names alone do not tell."""
+    return a is b or a == b
+
+
 def _check_same_pair(m: Bimodule, n: Bimodule) -> None:
-    if m.left.name != n.left.name or m.right.name != n.right.name:
+    if not (_same_algebra(m.left, n.left) and _same_algebra(m.right, n.right)):
         raise ValueError("hom between bimodules over different algebra pairs")
 
 
@@ -582,7 +586,7 @@ def corner_dim(m: Bimodule, f: list[Fraction], e: list[Fraction]) -> int:
 
 def direct_sum(m: Bimodule, n: Bimodule) -> Bimodule:
     """Block-diagonal sum of bimodules over the same algebra pair."""
-    if m.left.name != n.left.name or m.right.name != n.right.name:
+    if not (_same_algebra(m.left, n.left) and _same_algebra(m.right, n.right)):
         raise ValueError("direct sum of bimodules over different algebra pairs")
 
     def block(a: list[Column], b: list[Column]) -> list[Column]:

@@ -9,14 +9,14 @@ edge sets.  All three are reflexive (take H to be an identity).  By
 construction the right preorder only relates morphisms with equal
 source and the left preorder only morphisms with equal target.
 
-:func:`preorder_closure` builds the right and left graphs in one pass
-over the table, takes the two-sided graph as their union, and computes
-the reachability sets of all three kinds once per table; everything else
-is read off them, with no graph library: the cells are the classes of
-mutual reachability, one class lies below another when the second is
-reachable from the first, and the order is stored as its Hasse diagram
-(the covering pairs).  Which composites the pass reads, every composite
-composition reads or only those with a generator, is stated on
+Everything here reads one cell structure per table, cached on it: the
+right and left graphs from one pass over the composites, their union as
+the two-sided graph, and the reach sets and cells of each kind, read off
+with no graph library: the cells are the classes of mutual reachability,
+one class lies below another when the second is reachable from the
+first, and the order is stored as its Hasse diagram (the covering
+pairs).  Which composites the pass reads, every composite composition
+reads or only those with a generator, is stated on
 :func:`preorder_closure`.  Each graph is closed the same way: its
 strongly connected classes, which are the cells, are found sinks first
 by one iterative Tarjan search, and a class's reach set is its members
@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .model import MorphId, MultiCat, NotComposableError
 
@@ -90,46 +91,55 @@ class RegularityVerdict:
 # preorder graphs and closures
 
 
+class _CellStructure(NamedTuple):
+    """The reach sets and the partition of each kind, keyed by kind, built
+    together once per table by :func:`_cell_structure`."""
+
+    closures: Mapping[str, Mapping[int, frozenset[int]]]
+    partitions: Mapping[str, CellPartition]
+
+
 def _graphs(cat: MultiCat) -> tuple[list[set[int]], list[set[int]]]:
     """The right and left preorder graphs as adjacency sets, from one pass
     over the composites that :func:`preorder_closure` names.
 
     A composite g∘f gives f an edge to each of its summands in the right
-    graph and g one in the left graph; both graphs get the identity
-    edges.  No self-loop is stored: the closure puts every morph in its
-    own reach set.
+    graph and g one in the left graph; on the generator path the right
+    graph reads only the s∘F and the left only the F∘s.  Both graphs
+    get the identity edges.  No edge F -> F is needed: the closure puts
+    every morph in its own reach set.
     """
-    morphs, entries = cat.morphs, cat._entries
-    src = [m.src.index for m in morphs]
-    tgt = [m.tgt.index for m in morphs]
-    identity = [m.is_identity for m in morphs]
+    src, tgt, identity, entries = cat._src, cat._tgt, cat._is_identity, cat._entries
     out_of: list[list[int]] = [[] for _ in cat.objects]
     into: list[list[int]] = [[] for _ in cat.objects]
-    for m in morphs:
-        out_of[m.src.index].append(m.index)
-        into[m.tgt.index].append(m.index)
+    for m in range(len(src)):
+        out_of[src[m]].append(m)
+        into[tgt[m]].append(m)
+    right: list[set[int]] = [set() for _ in src]
+    left: list[set[int]] = [set() for _ in src]
     report = cat._validation
     if report is not None and report.ok:
-        gens = cat._compiled_form().generating_set
-        pairs = [(s, f) for s in gens for f in into[src[s]]]
-        pairs += [(g, s) for s in gens for g in out_of[tgt[s]]]
-        composites = [(gf, entries[gf]) for gf in pairs if gf in entries]
+        # a generator is never an identity, and its pairs here compose
+        for s in cat._compiled_form().generating_set:
+            for f in into[src[s]]:
+                if not identity[f] and (out := entries.get((s, f))) is not None:
+                    right[f].update(out)
+            for g in out_of[tgt[s]]:
+                if not identity[g] and (out := entries.get((g, s))) is not None:
+                    left[g].update(out)
     else:
-        composites = entries.items()
-    right: list[set[int]] = [set() for _ in morphs]
-    left: list[set[int]] = [set() for _ in morphs]
-    for (g, f), out in composites:
-        # composition never reads a stored pair that does not compose or
-        # has an identity in it
-        if src[g] == tgt[f] and not (identity[g] or identity[f]):
-            right[f].update(out)
-            left[g].update(out)
+        for (g, f), out in entries.items():
+            # composition never reads a stored pair that does not compose
+            # or has an identity in it
+            if src[g] == tgt[f] and not (identity[g] or identity[f]):
+                right[f].update(out)
+                left[g].update(out)
     # h∘1_t = h puts 1_t below every h with source t in the right order,
     # and 1_t∘f = f puts 1_t below every f with target t in the left order
-    for m in morphs:
-        if m.is_identity:
-            right[m.index].update(out_of[m.src.index])
-            left[m.index].update(into[m.src.index])
+    for m in range(len(src)):
+        if identity[m]:
+            right[m].update(out_of[src[m]])
+            left[m].update(into[src[m]])
     return right, left
 
 
@@ -183,43 +193,75 @@ def _closure(adj: list[set[int]]) -> dict[int, frozenset[int]]:
     return {v: reach[class_of[v]] for v in range(n)}
 
 
+def _partition(kind: str, reach: Mapping[int, frozenset[int]]) -> CellPartition:
+    """The cells of one kind and their order, read off its reach sets."""
+    classes: list[frozenset[int]] = []
+    class_of: dict[int, int] = {}
+    for u in range(len(reach)):  # ascending: classes come sorted by minimum
+        if u not in class_of:
+            members = frozenset(v for v in reach[u] if u in reach[v])
+            class_of.update(dict.fromkeys(members, len(classes)))
+            classes.append(members)
+    # above[a]: the classes strictly above class a
+    above = [{class_of[v] for v in reach[min(c)]} - {a} for a, c in enumerate(classes)]
+    # b covers a when nothing lies strictly between them
+    covers = [
+        (a, b) for a, bs in enumerate(above) for b in bs.difference(*(above[c] for c in bs))
+    ]
+    return CellPartition(
+        kind=kind,
+        classes=tuple(classes),
+        class_of=MappingProxyType(class_of),
+        order_edges=tuple(sorted(covers)),
+        closure=frozenset((a, b) for a, bs in enumerate(above) for b in (a, *bs)),
+    )
+
+
+def _cell_structure(cat: MultiCat) -> _CellStructure:
+    """The graphs of ``cat``, closed and partitioned, all three kinds at once."""
+    right, left = _graphs(cat)
+    both = [r | l for r, l in zip(right, left)]
+    closures = {kind: MappingProxyType(_closure(adj))
+                for kind, adj in (("left", left), ("right", right), ("two-sided", both))}
+    partitions = {kind: _partition(kind, reach) for kind, reach in closures.items()}
+    return _CellStructure(MappingProxyType(closures), MappingProxyType(partitions))
+
+
+def _structure(cat: MultiCat, kind: str) -> _CellStructure:
+    """The table's cell structure, built on first use; ``kind`` is checked."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return cat._derived("_cells", _cell_structure)
+
+
 def preorder_closure(cat: MultiCat, kind: str) -> Mapping[int, frozenset[int]]:
-    """Reachability sets of the preorder graph, memoized on the table.
+    """Reachability sets of the preorder graph, from the table's cell structure.
 
     The graphs read every composite composition reads: the stored entries
     of composable pairs of non-identities, and the unit law.  The first
     call builds the right and left graphs in one pass (``_graphs``) and
-    closes them and their union, the two-sided graph, so the three kinds
-    are computed together.  Two sets of composites give the same
-    reachability on a table that validates, and the cached verdict of
-    :func:`~fiatcells.model.validate` picks one; no setting does.
+    closes and partitions them and their union, the two-sided graph, so
+    the three kinds are computed together.  Two sets of composites give
+    the same reachability on a table that validates, and the cached
+    verdict of :func:`~fiatcells.model.validate` picks one; no setting does.
 
     * On a table whose cached report is ``ok``, only the composites with
       a generator are read, from the generating set S that validation
-      found (``_kernel._generators``): s∘F and F∘s for s in S.  That is
-      enough: unit propagation reaches every non-identity H as a summand
-      of a product of generators, so with positive multiplicities and
-      associativity a summand G of H∘F is reached from F by one generator
-      at a time, as a summand of s₁∘(s₂∘(⋯(s_k∘F))), and likewise on the
-      left.
+      found (``_kernel._generators``): s∘F for the right graph and F∘s
+      for the left, s in S.  That is enough: unit propagation reaches
+      every non-identity H as a summand of a product of generators, so
+      with positive multiplicities and associativity a summand G of H∘F
+      is reached from F by one generator at a time, as a summand of
+      s₁∘(s₂∘(⋯(s_k∘F))), and likewise on the left.
     * Every other table, never validated or not valid, reads every
       composite: the argument needs associativity, and the cells of a
       broken table are still reported.
 
     Either way one closure routine over the condensation computes the
-    sets (``_closure``).  The result is a read-only mapping, cached on
-    the table and shared by every caller, as the partitions of
-    :func:`cells` are; the members of a cell share one frozenset.
+    sets (``_closure``).  The result is a read-only mapping shared by
+    every caller; the members of a cell share one frozenset.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    closures = cat._closures
-    if not closures:
-        right, left = _graphs(cat)
-        both = [r | l for r, l in zip(right, left)]
-        for k, adj in (("left", left), ("right", right), ("two-sided", both)):
-            closures[k] = MappingProxyType(_closure(adj))
-    return closures[kind]
+    return _structure(cat, kind).closures[kind]
 
 
 def leq(cat: MultiCat, kind: str, f: MorphId, g: MorphId) -> bool:
@@ -241,32 +283,7 @@ def leq_LR(cat: MultiCat, f: MorphId, g: MorphId) -> bool:
 
 def cells(cat: MultiCat, kind: str) -> CellPartition:
     """Cells of the given kind with the induced order between them."""
-    partitions = cat._partitions
-    if kind in partitions:
-        return partitions[kind]
-    reach = preorder_closure(cat, kind)
-    classes: list[frozenset[int]] = []
-    class_of: dict[int, int] = {}
-    for u in range(len(cat.morphs)):  # ascending: classes come sorted by minimum
-        if u not in class_of:
-            members = frozenset(v for v in reach[u] if u in reach[v])
-            class_of.update(dict.fromkeys(members, len(classes)))
-            classes.append(members)
-    # above[a]: the classes strictly above class a
-    above = [{class_of[v] for v in reach[min(c)]} - {a} for a, c in enumerate(classes)]
-    # b covers a when nothing lies strictly between them
-    covers = [
-        (a, b) for a, bs in enumerate(above) for b in bs.difference(*(above[c] for c in bs))
-    ]
-    part = CellPartition(
-        kind=kind,
-        classes=tuple(classes),
-        class_of=MappingProxyType(class_of),
-        order_edges=tuple(sorted(covers)),
-        closure=frozenset((a, b) for a, bs in enumerate(above) for b in (a, *bs)),
-    )
-    partitions[kind] = part
-    return part
+    return _structure(cat, kind).partitions[kind]
 
 
 def verify_order_factorization(cat: MultiCat):
@@ -347,15 +364,12 @@ def comp_mult_principal(cat: MultiCat, f: MorphId, g: MorphId, h: MorphId) -> in
     """Composition multiplicity of the simple of h in f applied to the simple of g.
 
     Equals the multiplicity of g in star(f)∘h.  A nonzero value forces
-    h <=_R g (it holds by construction of the right order); a violation
-    raises ValueError.
+    h <=_R g: the right graph has an edge from h to every summand of a
+    composable star(f)∘h, and the unit law keeps it for identities.
     """
     if f.src.index != g.tgt.index or f.tgt.index != h.tgt.index or h.src.index != g.src.index:
         raise NotComposableError(
             f"({f.label}, {g.label}, {h.label}) are not composable as an "
             "action triple: need src(f)=tgt(g), tgt(f)=tgt(h), src(h)=src(g)"
         )
-    mult = cat.compose_idx(cat.star(f).index, h.index).get(g.index, 0)
-    if mult and not leq_R(cat, h, g):
-        raise ValueError(f"nonzero multiplicity must force {h.label} <=_R {g.label}")
-    return mult
+    return cat.compose_idx(cat.star_map[f.index], h.index).get(g.index, 0)

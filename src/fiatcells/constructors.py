@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
+from .cells import cells
 from .klbasis import kl_structure_constants_at_one
 from .model import MultiCat, _multicat
 from .permutations import Permutation, all_permutations
@@ -319,7 +320,6 @@ class RSCellReport:
     two_sided_shapes_match: bool
     n_right_cells: int
     n_standard_tableaux: int
-    cells_by_right: list[list[str]] = field(repr=False, default_factory=list)
 
     @property
     def consistent(self) -> bool:
@@ -334,9 +334,6 @@ def rs_cell_check(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> RSCellReport:
     the test corpus pins the discovered convention in a golden file.
     Raises RuntimeError when no tableau assignment classifies the cells.
     """
-    # local import: analysis depends on cells only, no cycle
-    from .cells import cells
-
     cat = make_hecke(n, max_n=max_n)
     # morph i of make_hecke(n) is all_permutations(n)[i]
     perms = dict(enumerate(all_permutations(n)))
@@ -373,9 +370,6 @@ def rs_cell_check(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> RSCellReport:
         two_sided_shapes_match=shape_classes == two_sided,
         n_right_cells=len(right),
         n_standard_tableaux=n_tableaux,
-        cells_by_right=[
-            sorted(cat.morphs[i].label for i in c) for c in cells(cat, "right").classes
-        ],
     )
     if not report.consistent:
         raise RuntimeError(

@@ -140,11 +140,6 @@ def kl_polynomial(n: int, x: Permutation, w: Permutation) -> LaurentPoly:
     return p
 
 
-def _mu(n: int, z: PermKey, y: PermKey) -> int:
-    """mu(z, y), read from the column of y; every reader of mu goes through here."""
-    return _column(y)[1].get(z, 0)
-
-
 def kl_structure_constants_at_one(n: int) -> list[list[dict[int, int]]]:
     """All products b_x b_y at v = 1, from the mu-coefficients alone.
 
@@ -174,7 +169,8 @@ def kl_structure_constants_at_one(n: int) -> list[list[dict[int, int]]]:
     length = [_length(k) for k in keys]
     # s_i w for every generator i and every w, by index
     left = {s: [index[w.left_mul_simple(s).one_line] for w in group] for s in range(1, n)}
-    mu = [sorted((index[z], m) for z in _column(y)[0] if (m := _mu(n, z, y))) for y in keys]
+    # mu(z, y) != 0, by the index of z, from the column of y
+    mu = [sorted((index[z], m) for z, m in _column(y)[1].items()) for y in keys]
     # act[s][w]: b_s b_w as (z, coefficient) pairs, the rule above
     act = {
         s: [

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ._kernel import _Compiled
     from .analysis import CellAnalysis
-    from .cells import CellPartition
+    from .cells import _CellStructure
 
 __all__ = [
     "ObjectId",
@@ -150,12 +150,15 @@ class MultiCat:
         for m in morphs:
             if m.is_identity:
                 self._identity_of[m.src.index] = m
-        # derived data, each computed on first use: the preorder closures
-        # and cell partitions by kind, the kernel's index arrays, the
-        # validation report and the cell analysis; _analysis is bound last
-        # (see __setattr__)
-        self._closures: dict[str, MappingProxyType[int, frozenset[int]]] = {}
-        self._partitions: dict[str, CellPartition] = {}
+        # each morph's ends and identity flag by index, read by every pass
+        # over the composites
+        self._src = tuple(m.src.index for m in morphs)
+        self._tgt = tuple(m.tgt.index for m in morphs)
+        self._is_identity = tuple(m.is_identity for m in morphs)
+        # derived data, each computed on first use by _derived: the cell
+        # structure, the kernel's index arrays, the validation report and
+        # the cell analysis; _analysis is bound last (see __setattr__)
+        self._cells: _CellStructure | None = None
         self._compiled: _Compiled | None = None
         self._validation: ValidationReport | None = None
         self._analysis: CellAnalysis | None = None
@@ -185,17 +188,17 @@ class MultiCat:
         return self.morphs[self.star_map[m.index]]
 
     def composable(self, g: int, f: int) -> bool:
-        return self.morphs[g].src.index == self.morphs[f].tgt.index
+        return self._src[g] == self._tgt[f]
 
     # -- composition -----------------------------------------------------
 
     def compose_idx(self, g: int, f: int) -> dict[int, int]:
         """Summands of g∘f by morph index; unit law applied without lookup."""
-        if not self.composable(g, f):
+        if self._src[g] != self._tgt[f]:
             raise self._not_composable(g, f)
-        if self.morphs[g].is_identity:
+        if self._is_identity[g]:
             return {f: 1}
-        if self.morphs[f].is_identity:
+        if self._is_identity[f]:
             return {g: 1}
         return self._entries.get((g, f), {})
 
@@ -437,6 +440,10 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise TableFormatError(f"parse error at line {e.lineno} col {e.colno}: {e.msg}") from None
+    except ValueError as e:
+        # an integer literal longer than the interpreter converts; the
+        # advice after ";" is to raise that limit, which is not the user's fix
+        raise TableFormatError(f"parse error: {str(e).partition(';')[0]}") from None
     except RecursionError:
         # the C decoder recurses once per level of nesting
         raise TableFormatError("parse error: nested too deeply") from None
@@ -678,9 +685,7 @@ def _suspect_entries(cat: MultiCat) -> list[tuple[int, int]]:
     law.  The others break neither law, so only the suspects are sorted
     and read again.
     """
-    src = [m.src.index for m in cat.morphs]
-    tgt = [m.tgt.index for m in cat.morphs]
-    identity = [m.is_identity for m in cat.morphs]
+    src, tgt, identity = cat._src, cat._tgt, cat._is_identity
     hom: dict[tuple[int, int], set[int]] = {}  # (src, tgt) -> the morphs between them
     for m in range(len(src)):
         hom.setdefault((src[m], tgt[m]), set()).add(m)

@@ -23,7 +23,15 @@ from fiatcells import (
     tensor_over,
     verify_dual_numbers_quiver,
 )
-from fiatcells.bimodule import Algebra, DimensionCapError, corner_dim, end_is_local, hom_dim
+from fiatcells.bimodule import (
+    Algebra,
+    DimensionCapError,
+    algebra_from_document,
+    corner_dim,
+    direct_sum,
+    end_is_local,
+    hom_dim,
+)
 from fiatcells.linalg import mat_mul
 
 from conftest import FIXTURES, realized
@@ -178,6 +186,33 @@ def test_decompose_mixed_direct_sum(D, F):
     mixed.check()
     assert mixed.dim == 6
     assert decompose_against(mixed, [F, idd]) == {0: 1, 1: 1}
+
+
+def _unnamed_truncated_polynomial(k):
+    """Q[x]/(x^k) from a document with no name: every such algebra is "A"."""
+    basis = [f"x{i}" for i in range(k)]
+    mult = [{"a": basis[i], "b": basis[j], "out": {basis[i + j]: 1}}
+            for i in range(k) for j in range(k - i)]
+    return algebra_from_document({"basis": basis, "unit": "x0", "mult": mult,
+                                  "idempotents": ["x0"]})
+
+
+def test_bimodules_over_different_algebras_sharing_a_name_do_not_mix():
+    a2, a3 = _unnamed_truncated_polynomial(2), _unnamed_truncated_polynomial(3)
+    assert a2.name == a3.name == "A"
+    m2, m3 = identity_bimodule(a2), identity_bimodule(a3)
+    for m, n in ((m2, m3), (m3, m2)):
+        for op in (hom_space, hom_dim):
+            with pytest.raises(ValueError, match="^hom between bimodules over different algebra pairs$"):
+                op(m, n)
+        with pytest.raises(ValueError, match="^direct sum of bimodules over different algebra pairs$"):
+            direct_sum(m, n)
+        with pytest.raises(ValueError, match="^tensor over mismatched middle algebras A vs A$"):
+            tensor_over(m, n)
+    # an equal algebra built apart is the same algebra
+    again = identity_bimodule(_unnamed_truncated_polynomial(2))
+    assert hom_dim(m2, again) == len(hom_space(again, m2)) == 2
+    assert tensor_over(m2, again).dim == direct_sum(m2, again).dim // 2 == 2
 
 
 def test_tensor_with_unit_bimodule_is_identity(D):

@@ -1,4 +1,5 @@
 import importlib
+import json
 import pickle
 import random
 
@@ -20,13 +21,14 @@ from fiatcells import (
     load_multicat,
     make_CA,
     make_hecke,
+    multicat_to_document,
     random_cartan_data,
     validate,
     verify_order_factorization,
 )
 from fiatcells.cells import KINDS, preorder_closure
 
-from conftest import stored_tables
+from conftest import corpus, stored_tables
 
 # the module: the package exports its function ``cells`` under that name
 cells_module = importlib.import_module("fiatcells.cells")
@@ -374,7 +376,7 @@ def test_the_cached_verdict_picks_the_edge_source(monkeypatch, hecke3):
                 cells(copy, kind)
             # one build serves all three kinds
             assert read == [source if validated else "every entry"], (name, validated)
-            assert set(copy._closures) == set(KINDS), (name, validated)
+            assert set(copy._cells.closures) == set(KINDS), (name, validated)
 
 
 def test_generator_edges_match_every_edge_on_hecke5(monkeypatch):
@@ -393,6 +395,60 @@ def test_generator_edges_match_every_edge_on_hecke5(monkeypatch):
     assert read.count("every entry") == read.count("generators") == len(tables)
     assert len(cells(generated, "right").classes) == 26
     assert len(cells(generated, "two-sided").classes) == 7
+
+
+def mutated(doc, rng):
+    """``doc`` with one to three seeded changes: a multiplicity bumped, a
+    summand dropped, two star images swapped, a stored entry with an
+    identity in it, or a stored entry of a pair that does not compose."""
+    doc = json.loads(json.dumps(doc))
+    morphs, compose = doc["morphisms"], doc["compose"]
+    star = {m["label"]: doc["star"].get(m["label"], m["label"]) for m in morphs}
+    stored = {(e["g"], e["f"]) for e in compose}
+    for _ in range(rng.randint(1, 3)):
+        change = rng.randrange(5)
+        entry = rng.choice(compose) if compose else {"out": []}
+        if change == 0 and entry["out"]:
+            rng.choice(entry["out"])["mult"] += 1
+        elif change == 1 and entry["out"]:
+            entry["out"].pop(rng.randrange(len(entry["out"])))
+        elif change == 2 and len(star) > 1:
+            a, b = rng.sample(list(star), 2)
+            star[a], star[b] = star[b], star[a]
+        else:
+            g, f = rng.choice(morphs), rng.choice(morphs)
+            if change == 3:  # an identity after f
+                g = next(m for m in morphs if m.get("identity") and m["src"] == f["tgt"])
+            if (g["label"], f["label"]) not in stored and (change == 3 or g["src"] != f["tgt"]):
+                stored.add((g["label"], f["label"]))
+                out = [{"m": rng.choice(morphs)["label"], "mult": rng.randint(1, 3)}]
+                compose.append({"g": g["label"], "f": f["label"], "out": out})
+    doc["star"] = star
+    return doc
+
+
+def test_every_summand_lies_above_both_factors():
+    # what the cell analysis and comp_mult_principal rely on: every
+    # summand K of a composable g∘f has f <=_R K and g <=_L K, stored
+    # entry or unit law, on valid and broken tables alike
+    rng = random.Random(2024)
+    tables = corpus() + stored_tables()
+    tables += [(f"{name}, mutated {i}", load_multicat(mutated(multicat_to_document(cat), rng)))
+               for i in range(3) for name, cat in tables]
+    tables += [(f"make_CA {i}, mutated", load_multicat(mutated(
+        multicat_to_document(make_CA(random_cartan_data(rng))), rng))) for i in range(40)]
+    broken = 0
+    for name, cat in tables:
+        broken += not validate(fresh(cat, False)).ok
+        for validated in (False, True):
+            copy = fresh(cat, validated)
+            above_r, above_l = preorder_closure(copy, "right"), preorder_closure(copy, "left")
+            for g in range(len(copy.morphs)):
+                for f in range(len(copy.morphs)):
+                    if copy.composable(g, f):
+                        for k in copy.compose_idx(g, f):
+                            assert k in above_r[f] and k in above_l[g], (name, validated, g, f, k)
+    assert broken > len(tables) // 3, (broken, len(tables))
 
 
 def test_members_of_a_cell_share_one_reach_set(hecke4):

@@ -468,6 +468,35 @@ def test_deeply_nested_json_exits_1(capsys, monkeypatch, tmp_path, command, docu
     assert err == "fiatcells: error: parse error: nested too deeply\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("command", [["validate"], _GEN_CA, _REALIZE, _HOM],
+                         ids=["table", "cartan", "algebras", "bimodule"])
+def test_overlong_integer_exits_1_with_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "doc.json"
+    path.write_text("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]", encoding="utf-8")
+    code, out, err = invoke(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("fiatcells: error: parse error: ")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_bimod_hom_over_different_algebras_sharing_a_name_exits_1(capsys, tmp_path):
+    # identity bimodules of Q[x]/(x^2) and Q[x]/(x^3), both algebras unnamed
+    paths = []
+    for k in (2, 3):
+        basis = [f"x{i}" for i in range(k)]
+        mult = [{"a": basis[i], "b": basis[j], "out": {basis[i + j]: 1}}
+                for i in range(k) for j in range(k - i)]
+        left = {"basis": basis, "unit": "x0", "mult": mult, "idempotents": ["x0"]}
+        paths.append(tmp_path / f"id{k}.json")
+        paths[-1].write_text(json.dumps({"left": left, "kind": "identity"}), encoding="utf-8")
+    for m, n in (paths, paths[::-1]):
+        code, out, err = invoke(capsys, "bimod", "hom", "--m", str(m), "--n", str(n))
+        assert (code, out) == (1, "")
+        assert err == "fiatcells: error: hom between bimodules over different algebra pairs\n"
+
+
 def test_int64_overflowing_table_is_not_associative(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(three_morph_doc(2**32, 2**33)), encoding="utf-8")

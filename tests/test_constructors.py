@@ -168,9 +168,14 @@ def test_make_hecke_raises_on_a_negative_constant(monkeypatch):
     from fiatcells import constructors, klbasis
 
     klbasis.kl_structure_constants_at_one(3)  # the KL memo keeps true values
-    true_mu = klbasis._mu
-    monkeypatch.setattr(klbasis, "_mu",
-                        lambda n, z, y: -1 if (z, y) == _MU_PAIR else true_mu(n, z, y))
+    true_column = klbasis._column
+    z, y = _MU_PAIR
+
+    def column(w):  # mu(z, y) read from the column of y
+        col, mu = true_column(w)
+        return (col, {**mu, z: -1}) if w == y else (col, mu)
+
+    monkeypatch.setattr(klbasis, "_column", column)
     monkeypatch.setattr(constructors, "_hecke_cache", {})
     with pytest.raises(ArithmeticError, match="negative structure constant"):
         make_hecke(3)
@@ -179,9 +184,13 @@ def test_make_hecke_raises_on_a_negative_constant(monkeypatch):
 def test_make_hecke_raises_on_a_negative_constant_under_python_O():
     code = (
         "from fiatcells import klbasis, make_hecke\n"
-        f"_MU_PAIR = {_MU_PAIR!r}\n"
-        "true_mu = klbasis._mu\n"
-        "klbasis._mu = lambda n, z, y: -1 if (z, y) == _MU_PAIR else true_mu(n, z, y)\n"
+        f"z, y = {_MU_PAIR!r}\n"
+        "klbasis.kl_structure_constants_at_one(3)\n"
+        "true_column = klbasis._column\n"
+        "def column(w):\n"
+        "    col, mu = true_column(w)\n"
+        "    return (col, {**mu, z: -1}) if w == y else (col, mu)\n"
+        "klbasis._column = column\n"
         "try:\n"
         "    make_hecke(3)\n"
         "except ArithmeticError as e:\n"

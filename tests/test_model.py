@@ -112,6 +112,28 @@ def test_deeply_nested_json_is_a_format_error():
         parse_multicat("[" * 100_000 + "]" * 100_000)
 
 
+# the longest integer literal the interpreter converts, 0 when unlimited
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="this interpreter converts integers of any length")
+def test_overlong_integer_is_a_format_error(tmp_path):
+    from fiatcells import load_algebras
+
+    digits = "1" * (_INT_DIGITS + 1)
+    text = serialize_multicat(make_s2()).replace('"mult": 2', f'"mult": {digits}')
+    assert text.count(digits) == 1
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    algebras = (FIXTURES / "algebras_qd.json").read_text(encoding="utf-8")
+    for call in (parse_multicat, load_multicat, lambda t: load_multicat(str(path)),
+                 lambda t: load_multicat(io.StringIO(t)),
+                 lambda t: load_algebras(algebras.replace('"1": 1', f'"1": {digits}', 1))):
+        with pytest.raises(TableFormatError, match="^parse error: ") as raised:
+            call(text)
+        assert "set_int_max_str_digits" not in str(raised.value)
+
+
 def _loader_calls(tmp_path):
     """(name, call) for each public loader on each source kind, each call
     returning a table, raising TableFormatError, or failing to parse."""
@@ -891,7 +913,7 @@ def test_multicat_attributes_cannot_be_rebound():
     bad = load_multicat(three_morph_doc(3, 2))
     assert validate(cat).ok
     for name in ("table", "morphs", "objects", "star_map", "_entries", "_compiled",
-                 "_validation", "_analysis", "_partitions", "new_attribute"):
+                 "_validation", "_analysis", "_cells", "new_attribute"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(cat, name, getattr(bad, name, None))
     with pytest.raises(AttributeError, match="read-only"):
@@ -942,6 +964,38 @@ def test_bimodule_names_resolve_lazily():
         "True True",
         "module 'fiatcells' has no attribute 'no_such_name'",
     ]
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package is a visible change here
+    import fiatcells
+
+    assert fiatcells.__all__ == [
+        "Algebra", "Bimodule", "BimoduleMap", "CartanBlock", "CartanData",
+        "CellPartition", "CheckResult", "DecompositionError", "DufloError",
+        "LaurentPoly", "LintReport", "MTable", "MorphId", "MultiCat",
+        "NotComposableError", "NotStronglyRegularError", "ObjectId", "Permutation",
+        "PurityError", "RSCellReport", "RegularityVerdict", "TableFormatError",
+        "TableauPair", "ValidationReport", "Violation", "acts_nonzero",
+        "all_permutations", "analysis", "annihilator_of_simple", "are_isomorphic",
+        "blocks_equal_up_to_permutation", "bruhat_leq", "canonical_basis",
+        "canonical_basis_by_bar_invariance", "cartan_blocks", "cartan_matrix",
+        "cartan_of", "cell_subcategory", "cells", "check_left_cell_constancy",
+        "classify_two_sided", "comp_mult_principal", "compose", "constructors",
+        "decompose_against", "dual_numbers", "duflo_element", "fiat_lint",
+        "find_isomorphism", "hom_space", "identity_bimodule",
+        "inverse_robinson_schensted", "isomorph", "kl_polynomial",
+        "kl_structure_constants", "klbasis", "laurent", "leq_L", "leq_LR", "leq_R",
+        "load_algebras", "load_multicat", "m_coeff", "m_table", "make_CA", "make_hecke",
+        "make_s2", "make_sl2_singular", "model", "multicat_from_document",
+        "multicat_to_document", "parse_multicat", "permutations", "projective_bimodule",
+        "random_cartan_data", "rationals", "realize_CA", "render_analyze_text",
+        "report", "report_analyze", "robinson_schensted", "rs_cell_check",
+        "serialize_multicat", "tableaux", "tensor_over", "validate",
+        "verify_dual_numbers_quiver", "verify_order_factorization"
+    ]
+    missing = [name for name in fiatcells.__all__ if not hasattr(fiatcells, name)]
+    assert not missing
 
 
 def test_cells_module_does_not_import_analysis():
