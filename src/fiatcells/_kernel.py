@@ -25,6 +25,8 @@ The arrays it reads are built by :func:`_compile` straight from the
 stored table, in one pass and with no per-pair ``compose_idx`` call: the
 stored entries that composition reads are flattened, each unit-law pair
 gets its one summand by index arithmetic, and one sort orders them all.
+They live only for one call of :func:`check`, the module's one entry
+point, which returns plain lists: no table keeps the arrays.
 
 To decide associativity it reads far fewer triples: only those whose
 middle g is one of a generating set.  Read the table as the Q-algebra A
@@ -72,8 +74,7 @@ class _Compiled:
     unit law otherwise, whatever is stored for such a pair.
 
     ``generating_set`` is the set S of :func:`_generators`, in the order
-    picked, as a plain list: the cell preorders of a table that validates
-    read it (see ``fiatcells.cells``).  ``into[o]`` holds the morphs with
+    picked, as a plain list.  ``into[o]`` holds the morphs with
     target o in three runs, each ascending: first the generators (the
     first ``generators[o]``), then the other non-identities, then the identity
     of o.  ``rank[m]`` is the place of m in ``into[tgt(m)]``.  ``out_of[o]``
@@ -426,3 +427,24 @@ def _star_violations(t: _Compiled) -> list[tuple[int, int]]:
     bad[p[missed]] = True
     bad = np.flatnonzero(bad)
     return sorted(zip(t.pair_g[bad].tolist(), t.pair_f[bad].tolist()))
+
+
+def check(
+    cat, star: bool, associativity: bool
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[int]]:
+    """Compile ``cat`` and run the kernels ``validate`` asks for: the star
+    kernel when ``star``, the associativity certificate when
+    ``associativity``, and the full listing only when the certificate
+    finds a violation.
+
+    Returns the (g, f) that break ``star-anti-automorphism`` and the
+    (h, g, f) that break associativity, each sorted and empty when its
+    kernel did not run, and the generating set S of the certificate, as
+    plain lists of Python ints; the arrays are freed on return.
+    """
+    t = _compile(cat)
+    pairs = _star_violations(t) if star else []
+    triples = []
+    if associativity and _associativity_violations(t, certificate=True):
+        triples = _associativity_violations(t, certificate=False)
+    return pairs, triples, t.generating_set

@@ -767,8 +767,20 @@ def _at(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _is_coeff_string(x: str) -> bool:
+    """Whether ``x`` is an integer or ``p/q``, a sign allowed on p only.
+
+    ``Fraction`` also reads decimals, ``_`` separators and exponents, and
+    ``"1e10000000"`` would build a 33-million-bit numerator."""
+    p, slash, q = x.partition("/")
+    digits = p[1:] if p[:1] in ("+", "-") else p
+    return x.isascii() and digits.isdigit() and (not slash or q.isdigit())
+
+
 def _parse_coeff(x, where: str) -> Fraction:
-    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+    if (isinstance(x, str) and _is_coeff_string(x)) or (
+        isinstance(x, int) and not isinstance(x, bool)
+    ):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

@@ -22,7 +22,8 @@ strongly connected classes, which are the cells, are found sinks first
 by one iterative Tarjan search, and a class's reach set is its members
 together with the reach sets of the classes it points to, shared by all
 its members.  This module imports no numpy: the generating set is a
-plain list on the table's compiled form.
+tuple of morph indices that :func:`~fiatcells.model.validate` caches on
+the table together with its report.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def _graphs(cat: MultiCat) -> tuple[list[set[int]], list[set[int]]]:
         into[tgt[m]].append(m)
     right: list[set[int]] = [set() for _ in src]
     left: list[set[int]] = [set() for _ in src]
-    report = cat._validation
-    if report is not None and report.ok:
+    verdict = cat._validation
+    if verdict is not None and verdict.report.ok:
         # a generator is never an identity, and its pairs here compose
-        for s in cat._compiled_form().generating_set:
+        for s in verdict.generating_set:
             for f in into[src[s]]:
                 if not identity[f] and (out := entries.get((s, f))) is not None:
                     right[f].update(out)
@@ -247,12 +248,13 @@ def preorder_closure(cat: MultiCat, kind: str) -> Mapping[int, frozenset[int]]:
 
     * On a table whose cached report is ``ok``, only the composites with
       a generator are read, from the generating set S that validation
-      found (``_kernel._generators``): s∘F for the right graph and F∘s
-      for the left, s in S.  That is enough: unit propagation reaches
-      every non-identity H as a summand of a product of generators, so
-      with positive multiplicities and associativity a summand G of H∘F
-      is reached from F by one generator at a time, as a summand of
-      s₁∘(s₂∘(⋯(s_k∘F))), and likewise on the left.
+      found (``_kernel._generators``) and cached with its report: s∘F
+      for the right graph and F∘s for the left, s in S.  That is
+      enough: unit propagation reaches every non-identity H as a summand
+      of a product of generators, so with positive multiplicities and
+      associativity a summand G of H∘F is reached from F by one
+      generator at a time, as a summand of s₁∘(s₂∘(⋯(s_k∘F))), and
+      likewise on the left.
     * Every other table, never validated or not valid, reads every
       composite: the argument needs associativity, and the cells of a
       broken table are still reported.

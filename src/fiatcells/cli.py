@@ -277,10 +277,8 @@ def _dispatch(args) -> int:
                 print("  " + " ".join(str(x) for x in row))
         return EXIT_OK
 
-    if cmd == "bimod":
-        return _dispatch_bimod(args)
-
-    return _fail(f"unknown command {cmd!r}")
+    # bimod, as argparse admits no other command
+    return _dispatch_bimod(args)
 
 
 def _dispatch_bimod(args) -> int:
@@ -302,18 +300,16 @@ def _dispatch_bimod(args) -> int:
         sys.stdout.write(serialize_multicat(cat))
         return EXIT_OK
 
-    if args.bimod_command == "hom":
-        m = _load_bimodule(args.m)
-        n = _load_bimodule(args.n)
-        basis = bimodule.hom_space(m, n)
-        print(f"dim hom = {len(basis)}")
-        for i, bm in enumerate(basis):
-            print(f"basis[{i}]:")
-            for row in bm.matrix:
-                print("  [" + ", ".join(str(x) for x in row) + "]")
-        return EXIT_OK
-
-    return _fail(f"unknown bimod command {args.bimod_command!r}")
+    # hom, as argparse admits no other bimod command
+    m = _load_bimodule(args.m)
+    n = _load_bimodule(args.n)
+    basis = bimodule.hom_space(m, n)
+    print(f"dim hom = {len(basis)}")
+    for i, bm in enumerate(basis):
+        print(f"basis[{i}]:")
+        for row in bm.matrix:
+            print("  [" + ", ".join(str(x) for x in row) + "]")
+    return EXIT_OK
 
 
 def _load_cartan(path: str) -> CartanData:

@@ -80,6 +80,11 @@ def _swap(s: int, x: PermKey) -> PermKey:
     return tuple(s + 1 if a == s else s if a == s + 1 else a for a in x)
 
 
+def _swap_places(s: int, x: PermKey) -> PermKey:
+    """x s: swap the entries in places s and s+1."""
+    return x[:s - 1] + (x[s], x[s - 1]) + x[s + 1:]
+
+
 def _descends(s: int, x: PermKey) -> bool:
     """sx < x: s+1 stands left of s."""
     return x.index(s) > x.index(s + 1)
@@ -210,24 +215,14 @@ def kl_structure_constants_at_one(n: int) -> list[list[dict[int, int]]]:
 # the H-basis algebra
 
 
-def _mult_gen_right(vec: Vector, s: int) -> Vector:
-    """vec * H_s."""
+def _mult_gen(vec: Vector, s: int, step) -> Vector:
+    """H_s * vec when ``step`` is :func:`_swap` (w -> s w), vec * H_s when
+    it is :func:`_swap_places` (w -> w s)."""
     out: dict[PermKey, LaurentPoly] = {}
     for w, c in vec.items():
-        ws = Permutation(w).right_mul_simple(s).one_line
-        out[ws] = out.get(ws, LaurentPoly.zero()) + c
-        if _length(ws) < _length(w):
-            out[w] = out.get(w, LaurentPoly.zero()) + (_VINV - _V) * c
-    return {w: c for w, c in out.items() if c}
-
-
-def _mult_gen_left(s: int, vec: Vector) -> Vector:
-    """H_s * vec."""
-    out: dict[PermKey, LaurentPoly] = {}
-    for w, c in vec.items():
-        sw = Permutation(w).left_mul_simple(s).one_line
-        out[sw] = out.get(sw, LaurentPoly.zero()) + c
-        if _length(sw) < _length(w):
+        stepped = step(s, w)
+        out[stepped] = out.get(stepped, LaurentPoly.zero()) + c
+        if _length(stepped) < _length(w):
             out[w] = out.get(w, LaurentPoly.zero()) + (_VINV - _V) * c
     return {w: c for w, c in out.items() if c}
 
@@ -274,7 +269,7 @@ def _bar_of_standard(n: int) -> dict[PermKey, Vector]:
         u = w.right_mul_simple(s).one_line
         base = out[u]
         # bar(H_s) = H_s + (v - v^-1)
-        stepped = _mult_gen_right(base, s)
+        stepped = _mult_gen(base, s, _swap_places)
         _add_scaled(stepped, _V - _VINV, base)
         out[w.one_line] = stepped
     return out
@@ -308,7 +303,7 @@ def canonical_basis_by_bar_invariance(n: int) -> dict[PermKey, Vector]:
         s = w.left_descents()[0]
         u = w.left_mul_simple(s).one_line
         # b_s * b_u = (H_s + v) b_u
-        cand = _mult_gen_left(s, basis[u])
+        cand = _mult_gen(basis[u], s, _swap)
         _add_scaled(cand, _V, basis[u])
         # peel by decreasing length over the whole group: a correction at x
         # only disturbs strictly shorter terms, which are visited later
@@ -356,7 +351,7 @@ def kl_structure_constants(n: int) -> dict[tuple[PermKey, PermKey], Vector]:
                 continue
             s = u.right_descents()[0]
             parent = u.right_mul_simple(s).one_line
-            bx_h[u.one_line] = _mult_gen_right(bx_h[parent], s)
+            bx_h[u.one_line] = _mult_gen(bx_h[parent], s, _swap_places)
         for y in group:
             prod: Vector = {}
             for u, h in basis[y.one_line].items():

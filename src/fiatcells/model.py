@@ -35,10 +35,9 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from ._kernel import _Compiled
     from .analysis import CellAnalysis
     from .cells import _CellStructure
 
@@ -120,6 +119,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+class _Validation(NamedTuple):
+    """What :func:`validate` caches on a table: its report, and the
+    generating set S with which the associativity kernel certified the
+    table (``fiatcells._kernel``), as a tuple of morph indices.  The cell
+    preorders read S when the report is ``ok``; S is empty when neither
+    kernel ran."""
+
+    report: ValidationReport
+    generating_set: tuple[int, ...]
+
+
 class MultiCat:
     """Immutable multiplicity table; all operations on it are pure.
 
@@ -156,11 +166,10 @@ class MultiCat:
         self._tgt = tuple(m.tgt.index for m in morphs)
         self._is_identity = tuple(m.is_identity for m in morphs)
         # derived data, each computed on first use by _derived: the cell
-        # structure, the kernel's index arrays, the validation report and
+        # structure, the validation report with its generating set, and
         # the cell analysis; _analysis is bound last (see __setattr__)
         self._cells: _CellStructure | None = None
-        self._compiled: _Compiled | None = None
-        self._validation: ValidationReport | None = None
+        self._validation: _Validation | None = None
         self._analysis: CellAnalysis | None = None
 
     def __setattr__(self, name: str, value) -> None:
@@ -220,12 +229,6 @@ class MultiCat:
             value = build(self)
             object.__setattr__(self, name, value)
         return value
-
-    def _compiled_form(self) -> _Compiled:
-        """The index-array form the associativity kernel reads, built once."""
-        from ._kernel import _compile  # numpy loads with the first validation
-
-        return self._derived("_compiled", _compile)
 
     def __reduce__(self):
         # read-only mappings do not pickle; a copy rebuilds them and its caches
@@ -419,10 +422,12 @@ def multicat_from_document(doc: dict) -> MultiCat:
         for j, term in enumerate(terms):
             if not isinstance(term, dict):
                 _expect(term, dict, f"compose[{i}].out[{j}]")
-            m, mult = term.get("m", ""), term.get("mult", 1)
+            # a missing "m" reads as None, which no label is
+            m, mult = term.get("m"), term.get("mult", 1)
             try:
                 k = index[m]
             except (KeyError, TypeError):
+                _field(term, "m", f"compose[{i}].out[{j}]")
                 raise _dangling(m, f"compose[{i}].out[{j}].m") from None
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise TableFormatError(f"compose[{i}].out[{j}]: multiplicity must be "
@@ -605,8 +610,8 @@ def validate(cat: MultiCat) -> ValidationReport:
     On the Hecke tables S is the simple reflections.  Only when a
     (H, S, F) fails is every non-identity G read, to list every
     violation.  The triples are checked by one sparse scatter-add kernel
-    over the table compiled into index arrays, once per table, from one
-    pass over the stored entries (see ``fiatcells._kernel``).  It is
+    over the table compiled into index arrays from one pass over the
+    stored entries (see ``fiatcells._kernel``).  It is
     exact: the multiplicity of a summand on either side is a sum of at
     most n products of two multiplicities, so sums are int64 when
     2·n·max(mult)² < 2^63 proves that none can overflow (n morphisms),
@@ -616,16 +621,18 @@ def validate(cat: MultiCat) -> ValidationReport:
     checked on the same arrays once star is an involution that swaps
     ends.
 
-    The report is computed once per table and cached on it, as the
-    compiled arrays are: the table is read-only, so the report cannot go
-    stale, and every later call (``report_analyze``, ``fiat_lint``, the
-    cell preorders) returns the same read-only :class:`ValidationReport`.
+    The report is computed once per table and cached on it together with
+    the generating set S, which the cell preorders of a valid table read;
+    the index arrays are freed once the kernels return.  The table is
+    read-only, so the report cannot go stale, and every later call
+    (``report_analyze``, ``fiat_lint``, the cell preorders) returns the
+    same read-only :class:`ValidationReport`.
     """
-    return cat._derived("_validation", _validate)
+    return cat._derived("_validation", _validate).report
 
 
-def _validate(cat: MultiCat) -> ValidationReport:
-    """The report :func:`validate` caches, computed."""
+def _validate(cat: MultiCat) -> _Validation:
+    """The report :func:`validate` caches, with its generating set, computed."""
     violations: list[Violation] = []
     morphs = cat.morphs
 
@@ -671,9 +678,8 @@ def _validate(cat: MultiCat) -> ValidationReport:
             )
 
     _check_star(cat, violations)
-    if not any(v.law == "structure" for v in violations):
-        _check_associativity(cat, violations)
-    return ValidationReport(tuple(violations))
+    generating_set = _check_kernels(cat, violations)
+    return _Validation(ValidationReport(tuple(violations)), generating_set)
 
 
 def _suspect_entries(cat: MultiCat) -> list[tuple[int, int]]:
@@ -721,11 +727,24 @@ def _check_star(cat: MultiCat, violations: list[Violation]) -> None:
                     f"star({m.label}) = {sm.label} does not swap source and target",
                 )
             )
-    if any(v.law in ("star-involution", "star-ends") for v in violations):
-        return
-    from ._kernel import _star_violations
 
-    for g, f in _star_violations(cat._compiled_form()):
+
+def _check_kernels(cat: MultiCat, violations: list[Violation]) -> tuple[int, ...]:
+    """Append what the kernels find, and return the generating set S.
+
+    The star kernel runs once star is an involution that swaps ends, and
+    the associativity kernel once no ``structure`` violation was found;
+    neither runs otherwise, and numpy is not loaded.
+    """
+    star = not any(v.law in ("star-involution", "star-ends") for v in violations)
+    associativity = not any(v.law == "structure" for v in violations)
+    if not (star or associativity):
+        return ()
+    from ._kernel import check  # numpy loads with the first validation
+
+    pairs, triples, generating_set = check(cat, star, associativity)
+    morphs = cat.morphs
+    for g, f in pairs:
         violations.append(
             Violation(
                 "star-anti-automorphism",
@@ -734,6 +753,17 @@ def _check_star(cat: MultiCat, violations: list[Violation]) -> None:
                 f"star({morphs[f].label})∘star({morphs[g].label})",
             )
         )
+    for h, g, f in triples:
+        lhs, rhs = _triple_sides(cat, h, g, f)
+        violations.append(
+            Violation(
+                "associativity",
+                (morphs[h].label, morphs[g].label, morphs[f].label),
+                f"(H∘G)∘F = {_fmt_multiset(cat, lhs)} but "
+                f"H∘(G∘F) = {_fmt_multiset(cat, rhs)}",
+            )
+        )
+    return tuple(generating_set)
 
 
 def _triple_sides(cat: MultiCat, h: int, g: int, f: int) -> tuple[dict, dict]:
@@ -748,22 +778,6 @@ def _triple_sides(cat: MultiCat, h: int, g: int, f: int) -> tuple[dict, dict]:
     return lhs, rhs
 
 
-def _check_associativity(cat: MultiCat, violations: list[Violation]) -> None:
-    from ._kernel import _associativity_violations
-
-    t = cat._compiled_form()
-    if not _associativity_violations(t, certificate=True):
-        return
-    for (h, g, f) in _associativity_violations(t, certificate=False):
-        lhs, rhs = _triple_sides(cat, h, g, f)
-        violations.append(
-            Violation(
-                "associativity",
-                (cat.morphs[h].label, cat.morphs[g].label, cat.morphs[f].label),
-                f"(H∘G)∘F = {_fmt_multiset(cat, lhs)} but "
-                f"H∘(G∘F) = {_fmt_multiset(cat, rhs)}",
-            )
-        )
 
 
 def _fmt_multiset(cat: MultiCat, ms: dict[int, int]) -> str:

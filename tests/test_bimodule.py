@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from fiatcells import (
 from fiatcells.bimodule import (
     Algebra,
     DimensionCapError,
+    _parse_coeff,
     algebra_from_document,
     corner_dim,
     direct_sum,
@@ -299,6 +302,22 @@ def test_load_algebras_reads_json_text_like_load_multicat():
         load_algebras("[]")
     with pytest.raises(TableFormatError, match="parse error at line 1"):
         load_algebras("{")
+
+
+def test_coefficients_are_integers_or_fractions():
+    assert _parse_coeff("-3/4", "c") == Fraction(-3, 4)
+    assert _parse_coeff("7", "c") == _parse_coeff(7, "c") == Fraction(7)
+    assert _parse_coeff("+2/6", "c") == Fraction(1, 3)
+    doc = json.loads((FIXTURES / "algebras_qd.json").read_text(encoding="utf-8"))
+    # Fraction reads all of these, and 1e10000000 as a 33-million-bit integer
+    for bad in ("1e10000000", "1e3", "1.5", "1_000", " 7", "3/-4", "--3", "1/0", "", True, 1.0):
+        doc["algebras"][1]["mult"][0]["out"]["1"] = bad
+        start = time.perf_counter()
+        with pytest.raises(TableFormatError) as raised:
+            load_algebras(json.dumps(doc))
+        assert time.perf_counter() - start < 1, bad
+        assert str(raised.value) == (f"algebras[1].mult[0].out['1']: bad coefficient {bad!r}; "
+                                     "use integers or 'p/q' strings")
 
 
 # ---------------------------------------------------------------------------

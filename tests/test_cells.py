@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fiatcells import (
-    MultiCat,
     NotComposableError,
     acts_nonzero,
     annihilator_of_simple,
@@ -340,19 +339,27 @@ def test_cells_match_reference(hecke3, hecke4):
 
 def edge_sources(monkeypatch):
     """The composites each graph build reads, one item per build in order:
-    "generators" when it reads the generating set, "every entry" when not."""
+    "generators" when it reads the generating set that validation cached,
+    "every entry" when not."""
     read = []
-    graphs, compiled = cells_module._graphs, MultiCat._compiled_form
+    graphs = cells_module._graphs
 
-    def generating(cat):
-        read[-1] = "generators"
-        return compiled(cat)
+    class Generators(tuple):
+        def __iter__(self):
+            read[-1] = "generators"
+            return super().__iter__()
 
     def spy(cat):
         read.append("every entry")
-        with monkeypatch.context() as patch:
-            patch.setattr(MultiCat, "_compiled_form", generating)
+        verdict = cat._validation
+        if verdict is None:
             return graphs(cat)
+        spied = verdict._replace(generating_set=Generators(verdict.generating_set))
+        object.__setattr__(cat, "_validation", spied)
+        try:
+            return graphs(cat)
+        finally:
+            object.__setattr__(cat, "_validation", verdict)
 
     monkeypatch.setattr(cells_module, "_graphs", spy)
     return read

@@ -158,6 +158,10 @@ def test_usage_and_input_errors_exit_1(capsys):
     assert run(["cells", "/nonexistent/path.json"]) == 1
     assert run(["gen", "ca"]) == 1  # missing --cartan
     assert run(["nonsense"]) == 1
+    # argparse rejects an unknown command before dispatch, bimod ones too
+    for argv in (["frobnicate"], ["bimod", "frobnicate"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == "" and "invalid choice: 'frobnicate'" in err
     assert run(["klpoly", "--n", "3", "--x", "1 2 3", "--w", "2 1"]) == 1
 
 

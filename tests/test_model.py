@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -105,6 +106,24 @@ def test_load_errors():
             load_multicat(text)
     with pytest.raises(TableFormatError, match="document root must be a JSON object"):
         parse_multicat("1")
+
+
+def test_summand_without_m_is_a_missing_field():
+    # with a morph labelled "" or without one, a summand with no "m" never
+    # resolves: it is a missing field, not a reference to ""
+    for extra in ([], [{"label": "", "src": "i", "tgt": "i"}]):
+        doc = s2_doc()
+        doc["morphisms"] += extra
+        doc["compose"][0]["out"] = [{"mult": 2}]
+        with pytest.raises(TableFormatError) as raised:
+            multicat_from_document(doc)
+        assert str(raised.value) == "compose[0].out[0]: missing field 'm'", extra
+    doc["compose"][0]["out"] = [{"m": "", "mult": 2}]
+    assert multicat_from_document(doc).compose_idx(1, 1) == {2: 2}
+    doc["compose"][0]["out"] = [{"m": None}]
+    with pytest.raises(TableFormatError,
+                       match=r"^compose\[0\]\.out\[0\]\.m must be a JSON string, got null$"):
+        multicat_from_document(doc)
 
 
 def test_deeply_nested_json_is_a_format_error():
@@ -284,7 +303,7 @@ def kernel_associativity(cat, certificate=False):
     those whose middle g is a generator."""
     from fiatcells import _kernel
 
-    return _kernel._associativity_violations(cat._compiled_form(), certificate)
+    return _kernel._associativity_violations(_kernel._compile(cat), certificate)
 
 
 def assert_kernel_matches(cat, want, name=""):
@@ -320,12 +339,15 @@ def simple_reflections(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_generators_of_hecke_tables_are_the_simple_reflections(n):
     from fiatcells import make_hecke
+    from fiatcells._kernel import _compile
 
     cat = make_hecke(n)
-    got = [cat.morphs[g].label for g in cat._compiled_form().generating_set]
+    t = _compile(cat)
+    got = [cat.morphs[g].label for g in t.generating_set]
     assert sorted(got) == sorted(simple_reflections(n))
+    # validate caches the same set with its report
+    assert validate(cat).ok and cat._validation.generating_set == tuple(t.generating_set)
     # they lead the one target group, and only they are read as g
-    t = cat._compiled_form()
     assert t.generators == [n - 1]
     assert sorted(cat.morphs[g].label for g in t.into[0][: n - 1].tolist()) == sorted(got)
 
@@ -405,7 +427,8 @@ def test_associativity_with_broken_star_reads_every_triple(hecke3):
 def test_associativity_bump_away_from_the_generators(hecke4):
     # raise one summand of b_x∘b_y, neither x nor y a generator: the
     # certificate still finds a violation, and validate lists them all
-    generators = {hecke4.morphs[g].label for g in hecke4._compiled_form().generating_set}
+    validate(hecke4)
+    generators = {hecke4.morphs[g].label for g in hecke4._validation.generating_set}
     doc = multicat_to_document(hecke4)
     entry = next(
         e for e in doc["compose"]
@@ -460,7 +483,7 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
     from fiatcells import _kernel
 
     huge = huge_tables()
-    assert all(cat._compiled_form().c.dtype == object for _, cat in huge)
+    assert all(_kernel._compile(cat).c.dtype == object for _, cat in huge)
     mixed = dict(stored_tables())["cartan_mixed.json"]
     tables = stored_tables() + huge + [
         ("hecke3", hecke3),
@@ -484,7 +507,7 @@ def test_associativity_kernel_at_every_block_size(monkeypatch, hecke3, hecke4):
     for budget in (1, 2 * 24**2, 10 * 24**2, 2**30):
         monkeypatch.setattr(_kernel, "_SLOT_BUDGET", budget)
         for name, cat in tables:
-            t = cat._compiled_form()
+            t = _kernel._compile(cat)
             generators = set(t.generating_set)
             for certificate in (False, True):
                 read = set()
@@ -534,7 +557,7 @@ def test_associativity_kernel_scatters_twice_per_block(monkeypatch):
     from fiatcells import _kernel
 
     cat = dict(stored_tables())["cartan_12.json"]
-    t = cat._compiled_form()
+    t = _kernel._compile(cat)
     calls = []
 
     def scatter(*args):
@@ -728,8 +751,7 @@ def reference_validate(cat):
                 "unit-law", (gm.label, fm.label), "right unit composite differs from the unit law",
             ))
     model._check_star(cat, violations)
-    if not any(v.law == "structure" for v in violations):
-        model._check_associativity(cat, violations)
+    model._check_kernels(cat, violations)
     return model.ValidationReport(tuple(violations))
 
 
@@ -880,6 +902,48 @@ def test_validate_caches_one_read_only_report():
     assert report.laws() == ["associativity"]
 
 
+def numpy_arrays(value, seen=None):
+    """The numpy arrays reachable from ``value`` through containers,
+    dataclasses and named tuples."""
+    import dataclasses
+
+    import numpy as np
+
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (str, bytes, int, float)):
+        return []
+    if isinstance(value, Mapping):
+        parts = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        parts = list(value)
+    elif dataclasses.is_dataclass(value):
+        parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    else:
+        return []
+    return [a for part in parts for a in numpy_arrays(part, seen)]
+
+
+def test_validated_tables_keep_no_index_arrays():
+    # the kernel's arrays are freed when validate returns: neither the
+    # table nor its caches hold one, make_hecke's module cache included
+    from fiatcells import make_hecke
+
+    for cat in (make_hecke(4), make_CA(random_cartan_data(random.Random(7), 3, 2, 3))):
+        report = validate(cat)
+        assert report.ok and validate(cat) is report
+        report_analyze(cat)
+        assert cat._validation.report is report and cat._validation.generating_set
+        assert all(type(s) is int for s in cat._validation.generating_set)
+        caches = {name: getattr(cat, name) for name in ("_cells", "_validation", "_analysis")}
+        assert all(value is not None for value in caches.values())
+        assert not numpy_arrays([vars(cat), *caches.values()])
+
+
 @pytest.mark.parametrize("table", ["hecke3", "nonassoc.json", "badstar.json"])
 def test_validated_tables_are_not_validated_again(monkeypatch, hecke3, table):
     # report_analyze and fiat_lint read the report validate cached: no
@@ -912,8 +976,8 @@ def test_multicat_attributes_cannot_be_rebound():
     cat = load_multicat(three_morph_doc(2, 2))
     bad = load_multicat(three_morph_doc(3, 2))
     assert validate(cat).ok
-    for name in ("table", "morphs", "objects", "star_map", "_entries", "_compiled",
-                 "_validation", "_analysis", "_cells", "new_attribute"):
+    for name in ("table", "morphs", "objects", "star_map", "_entries", "_validation",
+                 "_analysis", "_cells", "new_attribute"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(cat, name, getattr(bad, name, None))
     with pytest.raises(AttributeError, match="read-only"):
