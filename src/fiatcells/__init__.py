@@ -49,7 +49,6 @@ from .analysis import (
     MTable,
     NotStronglyRegularError,
     PurityError,
-    blocks_equal_up_to_permutation,
     cartan_blocks,
     cartan_matrix,
     cell_subcategory,

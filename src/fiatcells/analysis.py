@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import permutations as _perms
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -60,7 +59,6 @@ __all__ = [
     "check_left_cell_constancy",
     "cartan_matrix",
     "cartan_blocks",
-    "blocks_equal_up_to_permutation",
     "cell_subcategory",
     "fiat_lint",
     "LINT_CHECKS",
@@ -483,19 +481,6 @@ def cartan_blocks(cat: MultiCat, q: int) -> dict[int, list[CartanBlock]]:
         ]
         for rc in _record(cat, q).self_dual
     }
-
-
-def blocks_equal_up_to_permutation(a: list[list[int]], b: list[list[int]]) -> bool:
-    """Simultaneous row/column permutation equivalence of square matrices."""
-    n = len(a)
-    if len(b) != n:
-        return False
-    if sorted(sorted(row) for row in a) != sorted(sorted(row) for row in b):
-        return False
-    for sigma in _perms(range(n)):
-        if all(a[i][j] == b[sigma[i]][sigma[j]] for i in range(n) for j in range(n)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,20 @@ source and the left preorder only morphisms with equal target.
 
 Everything here reads one cell structure per table, cached on it: the
 right and left graphs from one pass over the composites, their union as
-the two-sided graph, and the reach sets and cells of each kind, read off
-with no graph library: the cells are the classes of mutual reachability,
-one class lies below another when the second is reachable from the
-first, and the order is stored as its Hasse diagram (the covering
-pairs).  Which composites the pass reads, every composite composition
-reads or only those with a generator, is stated on
-:func:`preorder_closure`.  Each graph is closed the same way: its
-strongly connected classes, which are the cells, are found sinks first
-by one iterative Tarjan search, and a class's reach set is its members
-together with the reach sets of the classes it points to, shared by all
-its members.  This module imports no numpy: the generating set is a
-tuple of morph indices that :func:`~fiatcells.model.validate` caches on
-the table together with its report.
+the two-sided graph, and each graph closed by one iterative Tarjan
+search, with no graph library.  The search's strongly connected classes
+are the cells, numbered by least member.  It completes them sinks first,
+so a class's reach set is its members together with the reach sets of
+the classes it points to, shared by all its members.  One cell lies
+below another when the second is reachable from the first, and the
+order is stored as its Hasse diagram (the covering pairs).  Which
+composites the pass reads, every composite composition reads or only
+those with a generator, is stated on :func:`preorder_closure`.
+Questions about cells, such as :func:`verify_order_factorization`, are
+answered per cell from these sets.  This module imports no numpy: the
+generating set is a tuple of morph indices that
+:func:`~fiatcells.model.validate` caches on the table together with its
+report.
 """
 
 from __future__ import annotations
@@ -144,20 +145,23 @@ def _graphs(cat: MultiCat) -> tuple[list[set[int]], list[set[int]]]:
     return right, left
 
 
-def _closure(adj: list[set[int]]) -> dict[int, frozenset[int]]:
-    """The reachability set of every vertex of the graph ``adj``, itself
-    included, computed once per strongly connected class.
+def _closure(adj: list[set[int]]) -> tuple[list[frozenset[int]], list[int], list[frozenset[int]]]:
+    """The strongly connected classes of the graph ``adj``, the class of
+    each vertex, and the reach set of each class: the vertices reachable
+    from its members, the members included.
 
-    An iterative Tarjan search completes the classes sinks first: a class
-    is complete only after every class its edges enter.  So its reach set
-    is its members together with the reach sets of those classes, all
-    known by then, and every member shares that one frozenset.
+    One iterative Tarjan search forms the classes, and completes them
+    sinks first: a class is complete only after every class its edges
+    enter.  So its reach set is its members together with the reach sets
+    of those classes, all known by then.  Classes are numbered in the
+    order they complete.
     """
     n = len(adj)
     order = [0] * n  # visit number, from 1; 0 while unvisited
     low = [0] * n
     class_of = [-1] * n  # -1 until the class is complete
-    reach: list[frozenset[int]] = []  # per class, in completion order
+    classes: list[frozenset[int]] = []
+    reach: list[frozenset[int]] = []  # per class
     stack: list[int] = []  # visited, class not yet complete
     visits = 0
     for root in range(n):
@@ -183,36 +187,35 @@ def _closure(adj: list[set[int]]) -> dict[int, frozenset[int]]:
                 if path and low[v] < low[path[-1][0]]:
                     low[path[-1][0]] = low[v]
                 if low[v] == order[v]:  # v roots a class: the stack above it
-                    c = len(reach)
+                    c = len(classes)
                     members = []
                     while not members or members[-1] != v:
                         members.append(stack.pop())
                         class_of[members[-1]] = c
                     below = {class_of[w] for u in members for w in adj[u]}
                     below.discard(c)
-                    reach.append(frozenset(members).union(*(reach[b] for b in below)))
-    return {v: reach[class_of[v]] for v in range(n)}
+                    classes.append(frozenset(members))
+                    reach.append(classes[c].union(*(reach[b] for b in below)))
+    return classes, class_of, reach
 
 
-def _partition(kind: str, reach: Mapping[int, frozenset[int]]) -> CellPartition:
-    """The cells of one kind and their order, read off its reach sets."""
-    classes: list[frozenset[int]] = []
-    class_of: dict[int, int] = {}
-    for u in range(len(reach)):  # ascending: classes come sorted by minimum
-        if u not in class_of:
-            members = frozenset(v for v in reach[u] if u in reach[v])
-            class_of.update(dict.fromkeys(members, len(classes)))
-            classes.append(members)
-    # above[a]: the classes strictly above class a
-    above = [{class_of[v] for v in reach[min(c)]} - {a} for a, c in enumerate(classes)]
+def _partition(kind: str, classes: list[frozenset[int]], class_of: list[int],
+               reach: list[frozenset[int]]) -> CellPartition:
+    """The cells of one kind and their order: the classes that
+    :func:`_closure` returns, renumbered by least member."""
+    cell: dict[int, int] = {}  # class -> cell, in order of the cells
+    for c in class_of:
+        cell.setdefault(c, len(cell))
+    # above[a]: the cells strictly above cell a
+    above = [{cell[class_of[v]] for v in reach[c]} - {a} for a, c in enumerate(cell)]
     # b covers a when nothing lies strictly between them
     covers = [
         (a, b) for a, bs in enumerate(above) for b in bs.difference(*(above[c] for c in bs))
     ]
     return CellPartition(
         kind=kind,
-        classes=tuple(classes),
-        class_of=MappingProxyType(class_of),
+        classes=tuple(classes[c] for c in cell),
+        class_of=MappingProxyType({v: cell[c] for v, c in enumerate(class_of)}),
         order_edges=tuple(sorted(covers)),
         closure=frozenset((a, b) for a, bs in enumerate(above) for b in (a, *bs)),
     )
@@ -222,9 +225,11 @@ def _cell_structure(cat: MultiCat) -> _CellStructure:
     """The graphs of ``cat``, closed and partitioned, all three kinds at once."""
     right, left = _graphs(cat)
     both = [r | l for r, l in zip(right, left)]
-    closures = {kind: MappingProxyType(_closure(adj))
-                for kind, adj in (("left", left), ("right", right), ("two-sided", both))}
-    partitions = {kind: _partition(kind, reach) for kind, reach in closures.items()}
+    closures, partitions = {}, {}
+    for kind, adj in (("left", left), ("right", right), ("two-sided", both)):
+        classes, class_of, reach = _closure(adj)
+        closures[kind] = MappingProxyType({v: reach[c] for v, c in enumerate(class_of)})
+        partitions[kind] = _partition(kind, classes, class_of, reach)
     return _CellStructure(MappingProxyType(closures), MappingProxyType(partitions))
 
 
@@ -291,30 +296,35 @@ def cells(cat: MultiCat, kind: str) -> CellPartition:
 def verify_order_factorization(cat: MultiCat):
     """Check that the two-sided preorder factors through right then left.
 
-    Returns ``(True, None)`` or ``(False, (F, G))`` with the first pair
-    (by index) violating either factorization.  Both factorizations
-    hold on every associative table, so a counterexample indicates a
-    broken table rather than exotic input.
+    F <=_LR G should hold exactly when F <=_R K <=_L G for some K, and
+    exactly when F <=_L K <=_R G.  Returns ``(True, None)`` or ``(False,
+    (F, G))`` with the first violating pair, by index of F, then of G.
+    Both hold on every associative table, so a counterexample indicates
+    a broken table rather than exotic input.
+
+    Members of a cell share their reach sets, so what F reaches right
+    then left is read once per right cell, and left then right once per
+    left cell.
     """
-    reach_r = preorder_closure(cat, "right")
-    reach_l = preorder_closure(cat, "left")
-    reach_lr = preorder_closure(cat, "two-sided")
-    n = len(cat.morphs)
-    # pred_l[g] = {l : l <=_L g}, pred_r likewise
-    pred_l: dict[int, set[int]] = {g: set() for g in range(n)}
-    pred_r: dict[int, set[int]] = {g: set() for g in range(n)}
-    for l in range(n):
-        for g in reach_l[l]:
-            pred_l[g].add(l)
-        for g in reach_r[l]:
-            pred_r[g].add(l)
-    for f in range(n):
-        for g in range(n):
-            lr = g in reach_lr[f]
-            via_rl = bool(reach_r[f] & pred_l[g])
-            via_lr = bool(reach_l[f] & pred_r[g])
-            if not (lr == via_rl == via_lr):
-                return False, (cat.morphs[f], cat.morphs[g])
+    structure = _structure(cat, "two-sided")
+    reach, part = structure.closures, structure.partitions
+
+    def then(first: str, second: str) -> list[frozenset[int]]:
+        """Per cell of kind ``first``, the morphs reached from it by that
+        preorder, then by the ``second``."""
+        at_or_above = [reach[second][min(c)] for c in part[second].classes]
+        out = []
+        for c in part[first].classes:
+            met = {part[second].class_of[k] for k in reach[first][min(c)]}
+            out.append(frozenset().union(*(at_or_above[b] for b in met)))
+        return out
+
+    via_rl, via_lr = then("right", "left"), then("left", "right")
+    right, left = part["right"].class_of, part["left"].class_of
+    for f, two_sided in sorted(reach["two-sided"].items()):
+        rl, lr = via_rl[right[f]], via_lr[left[f]]
+        if not two_sided == rl == lr:
+            return False, (cat.morphs[f], cat.morphs[min((two_sided ^ rl) | (two_sided ^ lr))])
     return True, None
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .cells import cells
 from .klbasis import kl_structure_constants_at_one
-from .model import MultiCat, _multicat
+from .model import MultiCat, _gc_paused, _multicat
 from .permutations import Permutation, all_permutations
 from .tableaux import robinson_schensted
 
@@ -260,6 +260,7 @@ def _theta_label(w: Permutation) -> str:
     return "theta_" + "".join(str(d) for d in w.one_line)
 
 
+@_gc_paused()
 def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
     """Multiplication table of the canonical basis of S_n at v = 1.
 
@@ -271,7 +272,10 @@ def make_hecke(n: int, max_n: int = HECKE_DEFAULT_MAX_N) -> MultiCat:
     as they stand: plain integers from the mu-coefficients by the
     Kazhdan-Lusztig multiplication rule, so no product is expanded over
     Laurent polynomials.  A negative constant raises ArithmeticError (it
-    would mean an arithmetic bug, and the table would be wrong).
+    would mean an arithmetic bug, and the table would be wrong).  The
+    constants and the table are hundreds of thousands of dicts and
+    tuples and no reference cycle, so the garbage collector is paused
+    meanwhile, as in the table loaders (``model._gc_paused``).
     """
     if not 2 <= n <= max_n:
         raise ValueError(f"n={n} outside the guarded range 2..{max_n}")

@@ -11,8 +11,8 @@ import random
 import time
 
 from fiatcells import (
+    CartanBlock,
     are_isomorphic,
-    blocks_equal_up_to_permutation,
     cartan_blocks,
     cells,
     classify_two_sided,
@@ -21,12 +21,14 @@ from fiatcells import (
     fiat_lint,
     find_isomorphism,
     leq_LR,
+    load_multicat,
     m_coeff,
     m_table,
     make_CA,
     make_hecke,
     make_s2,
     make_sl2_singular,
+    multicat_to_document,
     random_cartan_data,
     rationals,
     realize_CA,
@@ -244,47 +246,74 @@ def test_hecke5_pipeline_from_cold():
     assert m_coeff(cat, w0, w0) == (w0, 120)
 
 
+def cartan_blocks_agree(cat) -> bool:
+    """Criterion 6 on one table: every two-sided class is strongly
+    regular, and the Cartan blocks of each right cell R agree with those
+    of the class's first right cell R₀ through φ: R₀ → R, which sends x
+    to the member of R in the left cell of x (the main theorem, on the
+    Grothendieck group).  A left cell has one target, so φ keeps targets
+    and sends the basis of a block to the basis of a block; first the
+    blocks of R and R₀ must have the same targets and sizes."""
+    right, left = cells(cat, "right"), cells(cat, "left")
+    for q in range(len(cells(cat, "two-sided").classes)):
+        if not classify_two_sided(cat, q).strongly_regular:
+            return False
+        (_, base_blocks), *others = sorted(cartan_blocks(cat, q).items())
+        base = sorted((b.target_object, len(b.basis)) for b in base_blocks)
+        for rc, blocks in others:
+            if sorted((b.target_object, len(b.basis)) for b in blocks) != base:
+                return False
+            phi = {left.class_of[y]: y for y in right.classes[rc]}
+            place = {m.index: (b.matrix, i) for b in blocks for i, m in enumerate(b.basis)}
+            for block in base_blocks:
+                image = [place.get(phi.get(left.class_of[x.index])) for x in block.basis]
+                if None in image:  # R misses the left cell of some x
+                    return False
+                for row, (mine, h) in zip(block.matrix, image):
+                    if any(entry != mine[h][f] for entry, (_, f) in zip(row, image)):
+                        return False
+    return True
+
+
 def test_criterion_6_cartan_blocks_agree_across_right_cells(capsys):
     cats = [make_hecke(3), make_hecke(4)]
     cats += [make_CA(data) for data in _random_instances()]
-    ok = True
-    for cat in cats:
-        ts = cells(cat, "two-sided")
-        for q in range(len(ts.classes)):
-            if not classify_two_sided(cat, q).strongly_regular:
-                ok = False
-                continue
-            per_cell = cartan_blocks(cat, q)
-            items = sorted(per_cell.items())
-            base_rc, base_blocks = items[0]
-            base = sorted(
-                (b.target_object, len(b.basis)) for b in base_blocks
-            )
-            for rc, blocks in items[1:]:
-                shape = sorted((b.target_object, len(b.basis)) for b in blocks)
-                if shape != base:
-                    ok = False
-                    continue
-                for obj in {b.target_object for b in blocks}:
-                    mine = [b.matrix for b in blocks if b.target_object == obj]
-                    theirs = [b.matrix for b in base_blocks if b.target_object == obj]
-                    used = set()
-                    for mat in mine:
-                        match = next(
-                            (
-                                k
-                                for k, other in enumerate(theirs)
-                                if k not in used
-                                and blocks_equal_up_to_permutation(mat, other)
-                            ),
-                            None,
-                        )
-                        if match is None:
-                            ok = False
-                        else:
-                            used.add(match)
+    ok = all(cartan_blocks_agree(cat) for cat in cats)
     with capsys.disabled():
         verdict(6, "cartan-block-equivalence", ok)
+
+
+def test_criterion_6_fails_its_negative_controls(monkeypatch, hecke3):
+    # a class that is not strongly regular: the Fibonacci table F∘F = F + 1
+    doc = multicat_to_document(make_s2())
+    doc["compose"] = [{"g": "F", "f": "F", "out": [{"m": "F", "mult": 1}, {"m": "1_i", "mult": 1}]}]
+    assert not cartan_blocks_agree(load_multicat(doc))
+
+    # on hecke3, whose two right cells of the middle class agree, the
+    # blocks of the last right cell with one member dropped, then with
+    # one entry changed
+    assert cartan_blocks_agree(hecke3)
+    q = cells(hecke3, "two-sided").class_of[hecke3.morph("theta_213").index]
+    assert len(cartan_blocks(hecke3, q)) == 2
+    true_blocks = cartan_blocks
+
+    def one_short(b):
+        return CartanBlock(b.right_cell, b.target_object, b.basis[:-1],
+                           [row[:-1] for row in b.matrix[:-1]])
+
+    def one_entry_changed(b):
+        return CartanBlock(b.right_cell, b.target_object, b.basis,
+                           [[b.matrix[0][0] + 1, *b.matrix[0][1:]], *b.matrix[1:]])
+
+    for change in (one_short, one_entry_changed):
+        def blocks_of(cat, q, change=change):
+            blocks = true_blocks(cat, q)
+            last = blocks[max(blocks)]
+            last[0] = change(last[0])
+            return blocks
+
+        monkeypatch.setitem(globals(), "cartan_blocks", blocks_of)
+        assert not cartan_blocks_agree(hecke3), change.__name__
 
 
 def test_criterion_7_property_suite(capsys):

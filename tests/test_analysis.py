@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -9,7 +10,6 @@ from fiatcells import (
     NotComposableError,
     NotStronglyRegularError,
     PurityError,
-    blocks_equal_up_to_permutation,
     cartan_blocks,
     cartan_matrix,
     cell_subcategory,
@@ -278,6 +278,21 @@ def test_cartan_symmetry_and_positive_diagonal(hecke4):
                 assert all(block.matrix[i][i] >= 1 for i in range(len(block.basis)))
 
 
+def blocks_equal_up_to_permutation(a: list[list[int]], b: list[list[int]]) -> bool:
+    """Simultaneous row/column permutation equivalence of square matrices,
+    by trying every permutation: the reference for criterion 6, which
+    compares the blocks of two right cells through their bijection."""
+    n = len(a)
+    if len(b) != n:
+        return False
+    if sorted(sorted(row) for row in a) != sorted(sorted(row) for row in b):
+        return False
+    for sigma in permutations(range(n)):
+        if all(a[i][j] == b[sigma[i]][sigma[j]] for i in range(n) for j in range(n)):
+            return True
+    return False
+
+
 def test_blocks_equal_up_to_permutation_helper():
     a = [[2, 1], [1, 3]]
     b = [[3, 1], [1, 2]]
@@ -285,6 +300,23 @@ def test_blocks_equal_up_to_permutation_helper():
     assert blocks_equal_up_to_permutation(a, b)
     assert not blocks_equal_up_to_permutation(a, c)
     assert not blocks_equal_up_to_permutation(a, [[2]])
+
+
+def test_cartan_blocks_agree_through_the_bijection_as_up_to_permutation(hecke4):
+    # criterion 6 reads the bijection phi off the cells; where it holds,
+    # the block of each right cell at an object is a permutation of the
+    # first right cell's block there
+    from test_acceptance import cartan_blocks_agree
+
+    rng = random.Random(5)
+    for cat in [hecke4] + [make_CA(random_cartan_data(rng, 3, 4, 4)) for _ in range(20)]:
+        assert cartan_blocks_agree(cat)
+        for q in range(len(cells(cat, "two-sided").classes)):
+            (_, first), *others = sorted(cartan_blocks(cat, q).items())
+            for _, blocks in others:
+                for mine, theirs in zip(blocks, first):
+                    assert mine.target_object == theirs.target_object
+                    assert blocks_equal_up_to_permutation(mine.matrix, theirs.matrix)
 
 
 def test_cell_subcategory_s2(s2):

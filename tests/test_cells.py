@@ -96,6 +96,73 @@ def test_order_factorization(s2, sl2, hecke3):
         assert ok, witness
 
 
+def per_morph_order_factorization(cat):
+    """The reference for :func:`verify_order_factorization`: a predecessor
+    set per morph, and all pairs (F, G) in index order."""
+    reach_r = preorder_closure(cat, "right")
+    reach_l = preorder_closure(cat, "left")
+    reach_lr = preorder_closure(cat, "two-sided")
+    n = len(cat.morphs)
+    pred_l = {g: {l for l in range(n) if g in reach_l[l]} for g in range(n)}
+    pred_r = {g: {l for l in range(n) if g in reach_r[l]} for g in range(n)}
+    for f in range(n):
+        for g in range(n):
+            lr = g in reach_lr[f]
+            via_rl = bool(reach_r[f] & pred_l[g])
+            via_lr = bool(reach_l[f] & pred_r[g])
+            if not (lr == via_rl == via_lr):
+                return False, (cat.morphs[f], cat.morphs[g])
+    return True, None
+
+
+def one_object_doc(compose: list[tuple[str, str, dict[str, int]]], k: int) -> dict:
+    """One object, its identity and M0..M(k-1), trivial star; ``compose``
+    lists (g, f, {summand: multiplicity})."""
+    morphs = [{"label": "1_i", "src": "i", "tgt": "i", "identity": True}]
+    morphs += [{"label": f"M{i}", "src": "i", "tgt": "i"} for i in range(k)]
+    return {
+        "objects": ["i"],
+        "morphisms": morphs,
+        "star": {},
+        "compose": [{"g": g, "f": f, "out": [{"m": m, "mult": mult} for m, mult in out.items()]}
+                    for g, f, out in compose],
+    }
+
+
+def test_order_factorization_fails_on_a_broken_table():
+    # M1 <=_L M2 <=_R M0 puts M1 below M0 in the two-sided order, but no
+    # K has M1 <=_R K <=_L M0: no entry has M1 on the right, so M1 is
+    # right-below only itself, and M1 is not left-below M0
+    cat = load_multicat(one_object_doc(
+        [("M0", "M2", {"M2": 2, "M0": 1}), ("M1", "M0", {"M2": 1})], 3))
+    assert validate(cat).laws() == ["associativity", "star-anti-automorphism"]
+    for validated in (False, True):
+        copy = fresh(cat, validated)
+        witness = (False, (cat.morph("M1"), cat.morph("M0")))
+        assert verify_order_factorization(copy) == per_morph_order_factorization(copy) == witness
+
+
+def test_order_factorization_matches_the_per_morph_reference():
+    from test_differential import corpus as differential_corpus
+
+    rng = random.Random(2027)
+    tables = list(differential_corpus())
+    for i in range(1000):
+        k = rng.randint(3, 5)
+        labels = [f"M{j}" for j in range(k)]
+        compose = [(g, f, {m: rng.randint(1, 2) for m in rng.sample(labels, rng.randint(1, 2))})
+                   for g in labels for f in labels if rng.random() < 0.25]
+        tables.append((f"one object {i}", load_multicat(one_object_doc(compose, k))))
+    failures = 0
+    for name, cat in tables:
+        for validated in (False, True):
+            copy = fresh(cat, validated)
+            got = verify_order_factorization(copy)
+            assert got == per_morph_order_factorization(copy), (name, validated)
+            failures += not got[0] and name.startswith("one object") and validated
+    assert failures >= 100, failures
+
+
 def test_cross_object_comparability(sl2):
     # the right order only relates morphisms with equal source
     for f in sl2.morphs:

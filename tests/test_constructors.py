@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -179,6 +180,25 @@ def test_make_hecke_raises_on_a_negative_constant(monkeypatch):
     monkeypatch.setattr(constructors, "_hecke_cache", {})
     with pytest.raises(ArithmeticError, match="negative structure constant"):
         make_hecke(3)
+
+
+def test_make_hecke_builds_with_the_collector_paused(monkeypatch):
+    # the constants and the table allocate hundreds of thousands of
+    # containers and no cycle; the collector comes back on return
+    from fiatcells import constructors
+
+    seen = []
+    true_constants = constructors.kl_structure_constants_at_one
+
+    def constants(n):
+        seen.append(gc.isenabled())
+        return true_constants(n)
+
+    monkeypatch.setattr(constructors, "kl_structure_constants_at_one", constants)
+    monkeypatch.setattr(constructors, "_hecke_cache", {})
+    assert gc.isenabled()
+    make_hecke(3)
+    assert seen == [False] and gc.isenabled()
 
 
 def test_make_hecke_raises_on_a_negative_constant_under_python_O():

@@ -1042,7 +1042,7 @@ def test_public_surface_is_pinned():
         "PurityError", "RSCellReport", "RegularityVerdict", "TableFormatError",
         "TableauPair", "ValidationReport", "Violation", "acts_nonzero",
         "all_permutations", "analysis", "annihilator_of_simple", "are_isomorphic",
-        "blocks_equal_up_to_permutation", "bruhat_leq", "canonical_basis",
+        "bruhat_leq", "canonical_basis",
         "canonical_basis_by_bar_invariance", "cartan_blocks", "cartan_matrix",
         "cartan_of", "cell_subcategory", "cells", "check_left_cell_constancy",
         "classify_two_sided", "comp_mult_principal", "compose", "constructors",
